@@ -285,33 +285,41 @@ def stabilize(
 # Dhar's burning test
 # ---------------------------------------------------------------------------
 
-def _burn_sorted(graph: SplitGraph, config: Config) -> list[tuple[int, int]] | None:
+def _burn_sorted(
+    graph: SplitGraph, config: Config, clique_first: bool = True
+) -> tuple[int, ...] | None:
     """Counter form of the burning test for sorted stable configurations.
 
     Burning a sorted configuration proceeds in rounds that always burn a
     prefix of the not-yet-burnt vertices of each part, because every
     unburnt vertex of a part has received the same number of grains.
-    Returns the rounds as (clique burnt, independent burnt) counts, or
-    None if burning stalls (not recurrent).
+    Each round burns one part and then the other, clique first or
+    independent first.  Returns the flattened block sizes of the rounds
+    (clique, independent) resp. (independent, clique), or None if
+    burning stalls (not recurrent).
     """
     n, d = graph.n, graph.d
     a, b = config.clique, config.independent
     bk = bi = 0  # burnt clique / independent counts
-    rounds: list[tuple[int, int]] = []
+    sizes: list[int] = []
     while bk < n or bi < d:
+        new_k = new_i = 0
+        if not clique_first:
+            while bi + new_i < d and b[bi + new_i] >= n - bk:
+                new_i += 1
+            bi += new_i
         # clique vertex threshold after the sink and bk + bi burnings
-        new_k = 0
         while bk + new_k < n and a[bk + new_k] >= n + d - 1 - bk - bi:
             new_k += 1
         bk += new_k
-        new_i = 0
-        while bi + new_i < d and b[bi + new_i] >= n - bk:
-            new_i += 1
-        bi += new_i
+        if clique_first:
+            while bi + new_i < d and b[bi + new_i] >= n - bk:
+                new_i += 1
+            bi += new_i
         if new_k == 0 and new_i == 0:
             return None
-        rounds.append((new_k, new_i))
-    return rounds
+        sizes += (new_k, new_i) if clique_first else (new_i, new_k)
+    return tuple(sizes)
 
 
 def is_recurrent(graph: SplitGraph, config: Config, with_witness: bool = False):
@@ -398,12 +406,6 @@ def _enumerate_cached(n: int, d: int, backend: str) -> tuple[Config, ...]:
         return tuple(_enumerate_dhar(graph))
     if backend == "phi":
         return tuple(_enumerate_phi(graph))
-    if backend == "both":
-        dhar = _enumerate_dhar(graph)
-        phi = _enumerate_phi(graph)
-        if dhar != phi:
-            raise InternalError(f"enumeration backends disagree on S({n},{d})")
-        return tuple(dhar)
     raise PreconditionError(f"unknown backend {backend!r}")
 
 
@@ -411,8 +413,8 @@ def enumerate_sorted_recurrent(graph: SplitGraph, backend: str = "dhar") -> tupl
     """All sorted recurrent configurations, lexicographically decreasing.
 
     ``backend`` chooses between the direct filter of sorted stable
-    configurations ("dhar"), the image of all Schroder words under phi
-    ("phi"), or "both" which cross-checks and returns the common answer.
+    configurations ("dhar") and the image of all Schroder words under
+    phi ("phi"); the tests compare the two.
     """
     return _enumerate_cached(graph.n, graph.d, backend)
 

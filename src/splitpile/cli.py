@@ -237,6 +237,13 @@ def cmd_verify(args) -> int:
 
 def cmd_render(args) -> int:
     overlays = tuple(x for x in (args.overlay or "").split(",") if x)
+    word_mode = args.batch_dir is None and args.word is not None
+    allowed = ("peaks", "bounce") if word_mode else ("cti", "itc")
+    unknown = [x for x in overlays if x not in allowed]
+    if unknown:
+        raise PreconditionError(
+            f"unknown overlay {','.join(unknown)}; choose from {','.join(allowed)}"
+        )
     if args.batch_dir is not None:
         if args.n is None or args.d is None:
             raise PreconditionError("--batch-dir needs -n and -d")
@@ -253,7 +260,7 @@ def cmd_render(args) -> int:
         return EXIT_OK
 
     if args.word is not None:
-        doc = svg.render_path(args.word, overlays=overlays or ("peaks", "bounce"))
+        doc = svg.render_path(args.word, overlays=overlays or allowed)
     elif args.config is not None:
         if args.n is None or args.d is None:
             raise PreconditionError("rendering a configuration needs -n and -d")

@@ -12,11 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .asm import Config, InternalError, PreconditionError, SplitGraph
+from .asm import (
+    Config,
+    InternalError,
+    PreconditionError,
+    SplitGraph,
+    is_recurrent,
+    is_sorted_config,
+)
 from . import schroder
-
-CTI = "CTI"
-ITC = "ITC"
+from .toppling import CTI, ITC
 
 
 @dataclass(frozen=True)
@@ -111,21 +116,21 @@ def from_config(graph: SplitGraph, config: Config) -> SawtoothPolyomino:
 
     The lower path drops one s step per independent vertex at abscissa
     1 + grains; the upper path drops one nw step per clique vertex at a
-    height measured from the staircase.  The result must agree with the
-    word route sts(phi_inv(c)), which is asserted.
+    height measured from the staircase.  The verify suite and the tests
+    compare the result with the word route sts(phi_inv(c)).
     """
     n, d = graph.n, graph.d
     a, b = config.clique, config.independent
     if len(a) != n or len(b) != d:
         raise PreconditionError("configuration does not fit the graph")
+    if not (is_sorted_config(config) and is_recurrent(graph, config)):
+        raise PreconditionError(f"{config} is not a sorted recurrent configuration")
 
     # walk the upper path top-down: (n+1,d) -nw-> (n,d+1), then per column
     upper = ["N"]
     y = d + 1
     for j in range(n, 0, -1):
         y_low = 2 - j + a[n - j]  # column j carries the (n+1-j)-th largest count
-        if y_low > y:
-            raise PreconditionError(f"{config} is not recurrent (clique row collision)")
         upper.append("S" * (y - y_low))
         upper.append("N")
         y = y_low + 1
@@ -136,18 +141,12 @@ def from_config(graph: SplitGraph, config: Config) -> SawtoothPolyomino:
     x = n + 1
     for i in range(d, 0, -1):
         x_i = 1 + b[d - i]
-        if x_i > x:
-            raise PreconditionError(f"{config} is not recurrent (independent column collision)")
         lower.append("W" * (x - x_i))
         lower.append("S")
         x = x_i
     lower.append("W" * x)
 
-    poly = SawtoothPolyomino(n, d, "".join(upper), "".join(lower))
-    word_route = sts(schroder.phi_inv(config))
-    if poly != word_route:
-        raise InternalError(f"direct polyomino of {config} disagrees with the word route")
-    return poly
+    return SawtoothPolyomino(n, d, "".join(upper), "".join(lower))
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +276,3 @@ def itc_bounce(poly: SawtoothPolyomino) -> BounceRecord:
             return BounceRecord(ITC, tuple(sizes), tuple(path))
     raise InternalError("itc bounce did not reach the origin")
 
-
-def render_svg(
-    poly: SawtoothPolyomino,
-    overlays: tuple[str, ...] = (),
-    cell: int = 32,
-) -> str:
-    """Deterministic SVG rendering; overlays may include "cti" and "itc"."""
-    from .svg import render_polyomino
-
-    return render_polyomino(poly, overlays=overlays, cell=cell)

@@ -10,9 +10,10 @@ words (qt_schroder), or by two explicit sums over composition pairs
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
+from functools import lru_cache
 
 from .asm import (
+    InternalError,
     PreconditionError,
     SplitGraph,
     enumerate_sorted_recurrent,
@@ -151,11 +152,14 @@ def is_qt_symmetric(poly: QtPolynomial) -> bool:
 # Gaussian binomials and multinomials
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def q_binomial(m: int, k: int) -> QtPolynomial:
     """Gaussian binomial [m choose k]_q as a polynomial in q.
 
     Built by the recurrence [i, j] = [i-1, j-1] + q^j [i-1, j] on dense
-    q-coefficient lists, so all coefficients stay exact integers.
+    q-coefficient lists, so all coefficients stay exact integers.  Results
+    are cached and shared between callers; polynomials are never mutated
+    in place.
     """
     if not 0 <= k <= m:
         raise PreconditionError(f"need 0 <= k <= m, got ({m}, {k})")
@@ -313,10 +317,9 @@ def hexagon_shuffle_gf(a: int, b: int, c: int) -> QtPolynomial:
 
     Each word is weighted by the lower triangles it encloses against the
     bottom word D^a H^b U^c; the count equals the word's inversion number
-    under D < H < U, and the sum is asserted to be the q-multinomial.
+    under D < H < U, which is checked.  The verify suite and the tests
+    compare the sum with the q-multinomial.
     """
-    if a < 0 or b < 0 or c < 0:
-        raise PreconditionError("shuffle sizes must be non-negative")
     out: dict[tuple[int, int], int] = {}
 
     def tri_under(word: str) -> int:
@@ -345,52 +348,12 @@ def hexagon_shuffle_gf(a: int, b: int, c: int) -> QtPolynomial:
         return inv
 
     base = tri_under("D" * a + "H" * b + "U" * c)
-    words: list[str] = []
-
-    def rec(word: list[str], na: int, nb: int, nc: int) -> None:
-        if na == nb == nc == 0:
-            words.append("".join(word))
-            return
-        if na:
-            word.append("D")
-            rec(word, na - 1, nb, nc)
-            word.pop()
-        if nb:
-            word.append("H")
-            rec(word, na, nb - 1, nc)
-            word.pop()
-        if nc:
-            word.append("U")
-            rec(word, na, nb, nc - 1)
-            word.pop()
-
-    rec([], a, b, c)
-    for w in words:
+    for w in schroder.shuffles(a, b, c):
         enclosed = tri_under(w) - base
         if enclosed != inversions(w):
-            raise AssertionError(f"enclosed triangles != inversions for {w!r}")
+            raise InternalError(f"enclosed triangles != inversions for {w!r}")
         out[(enclosed, 0)] = out.get((enclosed, 0), 0) + 1
-    gf = QtPolynomial(out)
-    if gf != q_multinomial(a, b, c):
-        raise AssertionError(f"shuffle gf differs from q-multinomial at ({a},{b},{c})")
-    return gf
-
-
-def _shuffles(nd: int, nh: int, nu: int) -> Iterator[str]:
-    """All distinct interleavings of D^nd, H^nh, U^nu."""
-    word: list[str] = []
-
-    def rec(a: int, b: int, c: int) -> Iterator[str]:
-        if a == b == c == 0:
-            yield "".join(word)
-            return
-        for ch, left in (("D", a), ("H", b), ("U", c)):
-            if left:
-                word.append(ch)
-                yield from rec(a - (ch == "D"), b - (ch == "H"), c - (ch == "U"))
-                word.pop()
-
-    return rec(nd, nh, nu)
+    return QtPolynomial(out)
 
 
 def fiber_words(seq: toppling.ItcSequence) -> list[str]:
@@ -411,13 +374,13 @@ def fiber_words(seq: toppling.ItcSequence) -> list[str]:
         prefixes = [
             p + sep + block
             for p in prefixes
-            for block in _shuffles(a[i - 1] - 1, b[i], a[i])
+            for block in schroder.shuffles(a[i - 1] - 1, b[i], a[i])
         ]
     closing = "D" * a[k]
     out = [schroder.mirror(p + closing) for p in prefixes]
     for w in out:
         if not schroder.is_schroder(w):
-            raise AssertionError(f"fiber construction of {seq} produced non-Schroder {w!r}")
+            raise InternalError(f"fiber construction of {seq} produced non-Schroder {w!r}")
     return out
 
 

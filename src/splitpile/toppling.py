@@ -18,6 +18,8 @@ from .asm import (
     InternalError,
     PreconditionError,
     SplitGraph,
+    _burn_sorted,
+    is_nonnegative,
     is_recurrent,
     is_sorted_config,
 )
@@ -117,55 +119,20 @@ def topple_itc(graph: SplitGraph, config: Config) -> ToppleTrace:
     return _run_parallel(graph, config, clique_first=False)
 
 
-def _sizes_sorted(graph: SplitGraph, config: Config, clique_first: bool) -> tuple[int, ...]:
-    """Block sizes only, using the prefix structure of sorted configurations.
-
-    Unburnt vertices of a part all hold the same received total, so each
-    round topples a prefix of what remains; counters suffice.
-    """
-    n, d = graph.n, graph.d
-    a, b = config.clique, config.independent
-    bk = bi = 0
-    sizes: list[int] = []
-
-    def clique_round() -> int:
-        nonlocal bk
-        new = 0
-        while bk + new < n and a[bk + new] >= n + d - 1 - bk - bi:
-            new += 1
-        bk += new
-        return new
-
-    def indep_round() -> int:
-        nonlocal bi
-        new = 0
-        while bi + new < d and b[bi + new] >= n - bk:
-            new += 1
-        bi += new
-        return new
-
-    while True:
-        if clique_first:
-            x, y = clique_round(), indep_round()
-        else:
-            x, y = indep_round(), clique_round()
-        if x == 0 and y == 0:
-            break
-        sizes.append(x)
-        sizes.append(y)
-    if bk != n or bi != d:
-        raise PreconditionError("configuration is not recurrent")
-    return tuple(sizes)
-
-
 def cti_sizes(graph: SplitGraph, config: Config) -> tuple[int, ...]:
     """Sizes of the CTI trace without materializing vertex sets."""
-    return _sizes_sorted(graph, config, clique_first=True)
+    sizes = _burn_sorted(graph, config, clique_first=True)
+    if sizes is None:
+        raise PreconditionError("configuration is not recurrent")
+    return sizes
 
 
 def itc_sizes(graph: SplitGraph, config: Config) -> tuple[int, ...]:
     """Sizes of the ITC trace without materializing vertex sets."""
-    return _sizes_sorted(graph, config, clique_first=False)
+    sizes = _burn_sorted(graph, config, clique_first=False)
+    if sizes is None:
+        raise PreconditionError("configuration is not recurrent")
+    return sizes
 
 
 def trace_to_json(trace: ToppleTrace) -> dict:
@@ -284,8 +251,8 @@ def canonical_config(graph: SplitGraph, seq: ItcSequence) -> Config:
 
     Vertices toppled in the same round share a grain count; the counts
     follow from how many earlier topplings they must survive.  The
-    result is validated by replay; construction mistakes fall back to an
-    exhaustive fiber search on small graphs.
+    result is validated by replay; a sequence that no configuration
+    realizes raises :class:`PreconditionError`.
     """
     n, d = graph.n, graph.d
     if sum(seq.a) != n or sum(seq.b) != d:
@@ -300,26 +267,14 @@ def canonical_config(graph: SplitGraph, seq: ItcSequence) -> Config:
         clique.extend([n + d - prior - b_full[j]] * a_full[j])
         indep.extend([n + 1 - sum(a_full[:j])] * b_full[j])
     candidate = Config(tuple(clique), tuple(indep))
-
-    def realizes(c: Config) -> bool:
-        return (
-            is_sorted_config(c)
-            and all(x >= 0 for x in c.key())
-            and is_recurrent(graph, c)
-            and itc_sizes(graph, c) == _flatten(seq)
-        )
-
-    if realizes(candidate):
+    if (
+        is_sorted_config(candidate)
+        and is_nonnegative(candidate)
+        and is_recurrent(graph, candidate)
+        and itc_sizes(graph, candidate) == _flatten(seq)
+    ):
         return candidate
-    # construction disagreed with replay: search the fiber directly
-    if n + d <= 9:
-        from .asm import enumerate_sorted_recurrent
-
-        for c in enumerate_sorted_recurrent(graph):
-            if itc_sizes(graph, c) == _flatten(seq):
-                return c
-        raise PreconditionError(f"sequence {seq} is not realizable on S({n},{d})")
-    raise InternalError(f"canonical configuration for {seq} failed validation")
+    raise PreconditionError(f"sequence {seq} is not realizable on S({n},{d})")
 
 
 def _flatten(seq: ItcSequence) -> tuple[int, ...]:

@@ -131,6 +131,18 @@ def test_verify_output_byte_deterministic(capsys):
     assert all("seconds" in json.loads(line) for line in timed.strip().splitlines())
 
 
+def test_verify_rejects_empty_shape_range(capsys):
+    code, out, err = run_cli(capsys, "verify", "theorems", "--max-n", "0")
+    assert code == 3
+    assert out == "" and "checks passed" not in err
+
+
+def test_verify_all_rejects_negative_max_n(capsys):
+    code, out, err = run_cli(capsys, "verify", "all", "--max-n", "-3")
+    assert code == 3
+    assert out == "" and "checks passed" not in err
+
+
 def test_poly_mismatch_certificate(capsys, monkeypatch):
     # force a disagreement to exercise the certificate path and exit code
     from splitpile import cli as cli_mod
@@ -185,6 +197,26 @@ def test_render_batch(tmp_path, capsys):
     files = sorted((tmp_path / "figs").glob("*.svg"))
     assert len(files) == 30
     assert "wrote 30 files" in err
+
+
+def test_render_rejects_non_schroder_word(capsys):
+    code, out, err = run_cli(capsys, "render", "--word", "UUX")
+    assert code == 3
+    assert out == "" and "not a Schroder word" in err
+
+
+def test_render_rejects_unknown_word_overlay(capsys):
+    code, out, err = run_cli(capsys, "render", "--word", "UHD", "--overlay", "peaks,cti")
+    assert code == 3
+    assert out == "" and "cti" in err
+
+
+def test_render_rejects_unknown_polyomino_overlay(capsys):
+    code, out, err = run_cli(
+        capsys, "render", "7,4,2,1;4,4,3,3,1", "-n", "4", "-d", "5", "--overlay", "bounce"
+    )
+    assert code == 3
+    assert out == "" and "bounce" in err
 
 
 def test_render_requires_input(capsys):

@@ -11,9 +11,9 @@ from splitpile.polyomino import (
     is_valid,
     itc_bounce,
     polyomino_from_json,
-    render_svg,
     sts,
 )
+from splitpile.svg import render_polyomino
 from splitpile.schroder import enumerate_words, is_schroder, phi_inv
 from splitpile.toppling import cti_sizes, itc_sizes
 
@@ -63,6 +63,8 @@ def test_from_config_routes_agree():
             assert from_config(g, c) == sts(phi_inv(c))
     with pytest.raises(PreconditionError):
         from_config(SplitGraph(2, 2), parse_config("2,2;1,1"))
+    with pytest.raises(PreconditionError):
+        from_config(SplitGraph(2, 2), parse_config("2,3;2,2"))  # unsorted
 
 
 def test_area_worked_values():
@@ -152,12 +154,12 @@ def test_json_roundtrip():
 
 def test_render_svg_deterministic():
     p = sts(WORD_A)
-    doc1 = render_svg(p, overlays=("cti", "itc"))
-    doc2 = render_svg(p, overlays=("cti", "itc"))
+    doc1 = render_polyomino(p, overlays=("cti", "itc"))
+    doc2 = render_polyomino(p, overlays=("cti", "itc"))
     assert doc1 == doc2
     assert doc1.startswith('<?xml version="1.0"')
     assert "<svg" in doc1 and doc1.rstrip().endswith("</svg>")
-    bare = render_svg(p)
+    bare = render_polyomino(p)
     assert "stroke-dasharray" not in bare
     assert "stroke-dasharray" in doc1
 
@@ -165,7 +167,7 @@ def test_render_svg_deterministic():
 def test_render_svg_draws_the_actual_bounce_path():
     # the dashed overlay traces exactly the verified bounce-path points
     p = sts(WORD_A)
-    doc = render_svg(p, overlays=("cti",), cell=32)
+    doc = render_polyomino(p, overlays=("cti",), cell=32)
     pad, h = 16, p.n + p.d + 1
     expected = " ".join(
         f"{pad + x * 32},{pad + (h - y) * 32}" for x, y in cti_bounce(p).path

@@ -198,6 +198,8 @@ def test_canonical_config_covers_all_sequences():
 def test_canonical_config_rejects_bad_sequence():
     with pytest.raises(PreconditionError):
         canonical_config(G22, ItcSequence((1,), (2,)))  # b does not sum to d
+    with pytest.raises(PreconditionError):
+        canonical_config(G22, ItcSequence((0, 2), (0, 2)))  # sums fit, no first clique round
 
 
 def test_count_itc_values():
