@@ -2,7 +2,11 @@
 
 Subcommands: enumerate, stats, poly, verify, render.  Exit codes:
 0 success, 2 usage error, 3 domain precondition violated, 4 identity
-mismatch, 10 conjecture counterexample.
+mismatch, 5 internal error (an invariant failed: a bug, not bad input),
+10 conjecture counterexample.  An internal error outside verify prints
+a one-line JSON certificate {"status": "internal-error", "message": ...}
+on stderr; inside verify the check's report has status "error", and
+exit 5 takes precedence over 4 and 10.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from . import svg
 from . import toppling as tp
 from . import verify as vf
 from .asm import (
+    InternalError,
     PreconditionError,
     SplitGraph,
     config_to_json,
@@ -36,6 +41,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_MISMATCH = 4
+EXIT_INTERNAL = 5
 EXIT_CONJECTURE = 10
 
 
@@ -176,6 +182,8 @@ _METHODS = {
 
 def cmd_poly(args) -> int:
     n, d = args.n, args.d
+    if n < 1:
+        raise PreconditionError(f"poly needs n >= 1, got {n}")
     if args.method != "all":
         poly = _METHODS[args.method](n, d)
         _print_poly(poly, args.format)
@@ -226,6 +234,8 @@ def cmd_verify(args) -> int:
     sys.stderr.write(summary + "\n")
     if not failed:
         return EXIT_OK
+    if any(r.status == "error" for r in failed):
+        return EXIT_INTERNAL
     if any(r.check in vf.CONJECTURE_CHECKS for r in failed):
         return EXIT_CONJECTURE
     return EXIT_MISMATCH
@@ -337,6 +347,10 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PRECONDITION
+    except InternalError as exc:
+        certificate = {"status": "internal-error", "message": str(exc)}
+        sys.stderr.write(json.dumps(certificate, separators=(",", ":")) + "\n")
+        return EXIT_INTERNAL
     except BrokenPipeError:  # pragma: no cover - shell pipelines
         return EXIT_OK
 

@@ -227,45 +227,90 @@ def qt_schroder(n: int, d: int) -> QtPolynomial:
     return QtPolynomial(out)
 
 
+def _add_shifted(out: dict[tuple[int, int], int], poly: QtPolynomial, qexp: int, texp: int) -> None:
+    """Add q^qexp t^texp * poly into the term map ``out``."""
+    for (qe, te), c in poly.terms.items():
+        key = (qe + qexp, te + texp)
+        out[key] = out.get(key, 0) + c
+
+
 def egge_sum(n: int, d: int) -> QtPolynomial:
     """Explicit composition sum for the q,t-Schroder polynomial.
 
     Sums over strict compositions alpha of n (length k) and weak
-    compositions beta of d (length k+1) a product of Gaussian binomial
-    and trinomial factors with the printed q- and t-exponents.
+    compositions beta of d (length k+1) the term
+    q^(sum C(alpha_i,2)) t^(sum_i i beta_i + sum_i (i-1) alpha_i)
+    [beta_0+alpha_1; beta_0] prod_{i<k} [beta_i, alpha_{i+1}, alpha_i-1]
+    [beta_k+alpha_k-1; beta_k].
+
+    The t-exponent charges t^(vertices still to place) after each of the
+    steps (beta_0, alpha_1), ..., (beta_{k-1}, alpha_k), so the sum is
+    evaluated step by step, memoized on (alpha left, beta left, last
+    alpha part), instead of term by term.
     """
     if n < 1 or d < 0:
         raise PreconditionError("need n >= 1 and d >= 0")
-    total = QtPolynomial.zero()
-    for k in range(1, n + 1):
-        for alpha in toppling.compositions(n, k):
-            qexp = sum(x * (x - 1) // 2 for x in alpha)
-            for beta in toppling._weak_compositions(d, k + 1):
-                texp = sum(i * beta[i] for i in range(1, k + 1))
-                texp += sum((i - 1) * alpha[i - 1] for i in range(2, k + 1))
-                term = QtPolynomial.monomial(qexp, texp)
-                term = term * q_binomial(beta[0] + alpha[0], beta[0])
-                term = term * q_binomial(beta[k] + alpha[k - 1] - 1, beta[k])
-                for i in range(1, k):
-                    term = term * q_multinomial(beta[i], alpha[i], alpha[i - 1] - 1)
-                total = total + term
-    return total
+
+    @lru_cache(maxsize=None)
+    def rest(clique: int, indep: int, prev: int) -> QtPolynomial:
+        # the steps after alpha_i = prev, with clique and indep units left
+        out: dict[tuple[int, int], int] = {}
+        if clique == 0:  # close with beta_k = indep
+            _add_shifted(out, q_binomial(indep + prev - 1, indep), 0, 0)
+        for alpha in range(1, clique + 1):
+            for beta in range(indep + 1):
+                left = clique - alpha + indep - beta
+                step = q_multinomial(beta, alpha, prev - 1) * rest(clique - alpha, indep - beta, alpha)
+                _add_shifted(out, step, alpha * (alpha - 1) // 2, left)
+        return QtPolynomial(out)
+
+    try:
+        total: dict[tuple[int, int], int] = {}
+        for alpha in range(1, n + 1):
+            for beta in range(d + 1):
+                left = n - alpha + d - beta
+                step = q_binomial(beta + alpha, beta) * rest(n - alpha, d - beta, alpha)
+                _add_shifted(total, step, alpha * (alpha - 1) // 2, left)
+        return QtPolynomial(total)
+    finally:
+        rest.cache_clear()
 
 
 def itc_sum(n: int, d: int) -> QtPolynomial:
     """Toppling-sequence sum for the q,t-ITC polynomial.
 
-    One term per ITC toppling sequence: a product over rounds of
-    q^C(a_i,2) [a_i+b_i+a_{i-1}-1 choose a_i, b_i, a_{i-1}-1]_q
-    t^((i-1)(a_i+b_i)) with a_0 = 1.  Stated for d >= 1; the d = 0
-    case uses the same formula with all b_i = 0.
+    One term per ITC toppling sequence (:func:`itc_sum_term`): a product
+    over rounds of q^C(a_i,2) [a_i+b_i+a_{i-1}-1 choose a_i, b_i, a_{i-1}-1]_q
+    t^((i-1)(a_i+b_i)) with a_0 = 1.  Stated for d >= 1; the d = 0 case
+    uses the same formula with all b_i = 0.
+
+    The t-exponent charges t^(vertices not yet toppled) after every
+    non-final round, so the sum is evaluated round by round, memoized on
+    (clique left, independent left, previous a), instead of sequence by
+    sequence.
     """
     if n < 1 or d < 0:
         raise PreconditionError("need n >= 1 and d >= 0")
-    total = QtPolynomial.zero()
-    for seq in toppling.all_itc_sequences(n, d):
-        total = total + itc_sum_term(seq)
-    return total
+
+    @lru_cache(maxsize=None)
+    def rounds(clique: int, indep: int, prev: int) -> QtPolynomial:
+        # the rounds still to come when the previous round toppled prev clique vertices
+        out: dict[tuple[int, int], int] = {}
+        for a in range(clique + 1):
+            for b in range(indep + 1):
+                left = clique + indep - a - b
+                if left and not a:
+                    continue  # only the final round may topple no clique vertex
+                step = q_multinomial(a, b, prev - 1)
+                if left:
+                    step = step * rounds(clique - a, indep - b, a)
+                _add_shifted(out, step, a * (a - 1) // 2, left)
+        return QtPolynomial(out)
+
+    try:
+        return rounds(n, d, 1)
+    finally:
+        rounds.cache_clear()
 
 
 def itc_sum_term(seq: toppling.ItcSequence) -> QtPolynomial:

@@ -19,6 +19,7 @@ from . import schroder as sc
 from . import toppling as tp
 from .asm import (
     Config,
+    InternalError,
     PreconditionError,
     SplitGraph,
     enumerate_sorted_recurrent,
@@ -39,7 +40,7 @@ SUITES = ("bijections", "theorems", "cycle-lemma", "conjectures", "appendix", "a
 class VerificationReport:
     check: str
     params: dict
-    status: str
+    status: str  # "pass", "fail", or "error" (an InternalError in the check)
     counterexample: dict | None = None
     seconds: float = 0.0
 
@@ -517,18 +518,25 @@ def list_tasks(suite: str, max_n: int, max_d: int) -> list[tuple]:
 
 
 def run_task(task: tuple) -> VerificationReport:
+    """Run one task; an InternalError inside the check becomes an
+    ``error`` report instead of ending the run."""
     start = time.perf_counter()
-    if task[0] == "shape":
-        _, name, n, d = task
-        rep = _report(name, {"n": n, "d": d}, _CHECK_FUNCS[name](n, d))
-    elif task[0] == "hexagon":
-        rep = _report("hexagon_multinomial", {"limit": task[1]}, check_hexagon_lemma(task[1]))
-    elif task[0] == "exchange":
-        rep = _report("cell_exchange", {"limit": task[1]}, check_cell_exchange(task[1]))
-    elif task[0] == "partition_identity":
-        rep = _report("partition_sum_identity", {"n": task[1]}, check_partition_identity(task[1]))
+    kind, *args = task
+    if kind == "shape":
+        name, n, d = args
+        params, fn, args = {"n": n, "d": d}, _CHECK_FUNCS[name], (n, d)
+    elif kind == "hexagon":
+        name, params, fn = "hexagon_multinomial", {"limit": args[0]}, check_hexagon_lemma
+    elif kind == "exchange":
+        name, params, fn = "cell_exchange", {"limit": args[0]}, check_cell_exchange
+    elif kind == "partition_identity":
+        name, params, fn = "partition_sum_identity", {"n": args[0]}, check_partition_identity
     else:
         raise ValueError(f"unknown task {task!r}")
+    try:
+        rep = _report(name, params, fn(*args))
+    except InternalError as exc:
+        rep = VerificationReport(name, params, "error", {"internal_error": str(exc)})
     rep.seconds = time.perf_counter() - start
     return rep
 

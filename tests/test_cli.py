@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from splitpile.asm import InternalError
 from splitpile.cli import main
 
 
@@ -168,6 +169,62 @@ def test_verify_conjecture_counterexample_exit_code(capsys, monkeypatch):
     assert code == 10
     reports = [json.loads(line) for line in out.strip().splitlines()]
     assert any(r["status"] == "fail" and "counterexample" in r for r in reports)
+
+
+def _raise_internal(*_args):
+    raise InternalError("invariant broken on purpose")
+
+
+def test_verify_internal_error_becomes_error_report(capsys, monkeypatch):
+    from splitpile import verify as vf
+
+    broken = dict(vf._CHECK_FUNCS)
+    broken["qt_cti_equals_itc"] = _raise_internal
+    monkeypatch.setattr(vf, "_CHECK_FUNCS", broken)
+    code, out, err = run_cli(capsys, "--jobs", "1", "verify", "conjectures", "--max-n", "2", "--max-d", "0")
+    assert code == 5
+    reports = [json.loads(line) for line in out.strip().splitlines()]
+    errors = [r for r in reports if r["status"] == "error"]
+    assert [r["params"] for r in errors] == [{"n": 1, "d": 0}, {"n": 2, "d": 0}]
+    assert all(r["check"] == "qt_cti_equals_itc" for r in errors)
+    assert all(r["counterexample"] == {"internal_error": "invariant broken on purpose"} for r in errors)
+    others = [r for r in reports if r["status"] != "error"]
+    assert len(others) == 4 and all(r["status"] == "pass" for r in others)
+    assert err == "4/6 checks passed\n"
+
+
+def test_verify_internal_error_outranks_counterexample(capsys, monkeypatch):
+    from splitpile import verify as vf
+
+    broken = dict(vf._CHECK_FUNCS)
+    broken["qt_cti_equals_itc"] = lambda n, d: {"difference": {"terms": []}}
+    broken["qt_cti_equals_schroder"] = _raise_internal
+    monkeypatch.setattr(vf, "_CHECK_FUNCS", broken)
+    code, out, _ = run_cli(capsys, "--jobs", "1", "verify", "conjectures", "--max-n", "1", "--max-d", "0")
+    assert code == 5
+    statuses = [json.loads(line)["status"] for line in out.strip().splitlines()]
+    assert statuses == ["fail", "error", "pass"]
+
+
+def test_poly_internal_error_certificate(capsys, monkeypatch):
+    from splitpile import cli as cli_mod
+
+    broken = dict(cli_mod._METHODS)
+    broken["egge"] = _raise_internal
+    monkeypatch.setattr(cli_mod, "_METHODS", broken)
+    for method in ("egge", "all"):
+        code, out, err = run_cli(capsys, "poly", "-n", "2", "-d", "1", "--method", method)
+        assert code == 5
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"status": "internal-error", "message": "invariant broken on purpose"}
+
+
+def test_poly_rejects_n_zero_for_every_method(capsys):
+    for method in ("cti", "itc", "schroder", "egge", "itc-sum", "all"):
+        code, out, err = run_cli(capsys, "poly", "-n", "0", "-d", "2", "--method", method)
+        assert code == 3, method
+        assert out == "" and err.startswith("error:"), method
 
 
 def test_render_word(tmp_path, capsys):

@@ -152,6 +152,25 @@ def test_itc_sum_values():
         assert itc_sum(n, 0) == qt_schroder(n, 0)
 
 
+def test_itc_sum_equals_sum_over_sequences():
+    """The round-by-round sum equals the printed per-sequence terms summed
+    over every ITC toppling sequence."""
+    for n in range(1, 7):
+        for d in range(0, 5):
+            terms = (itc_sum_term(seq) for seq in all_itc_sequences(n, d))
+            assert itc_sum(n, d) == sum(terms, QtPolynomial.zero()), (n, d)
+
+
+def test_explicit_sums_past_brute_force_reach():
+    # S(9,4) has 35,565,530 sorted recurrent configurations, far beyond
+    # the brute-force methods; the two sums must still agree, count them,
+    # and be symmetric in q and t (the paper's corollary)
+    poly = itc_sum(9, 4)
+    assert egge_sum(9, 4) == poly
+    assert poly.evaluate(1, 1) == sorted_recurrent_count(9, 4)
+    assert is_qt_symmetric(poly)
+
+
 def test_five_way_identity_small():
     for n in range(1, 4):
         for d in range(0, 3):
