@@ -11,6 +11,7 @@ from .asm import (
     format_config,
     height,
     is_recurrent,
+    iter_sorted_recurrent,
     level,
     parse_config,
     sorted_recurrent_count,
@@ -31,6 +32,7 @@ __all__ = [
     "format_config",
     "height",
     "is_recurrent",
+    "iter_sorted_recurrent",
     "level",
     "parse_config",
     "sorted_recurrent_count",

@@ -286,20 +286,24 @@ def stabilize(
 # ---------------------------------------------------------------------------
 
 def _burn_sorted(
-    graph: SplitGraph, config: Config, clique_first: bool = True
+    graph: SplitGraph,
+    a: tuple[int, ...],
+    b: tuple[int, ...],
+    clique_first: bool = True,
 ) -> tuple[int, ...] | None:
     """Counter form of the burning test for sorted stable configurations.
 
-    Burning a sorted configuration proceeds in rounds that always burn a
-    prefix of the not-yet-burnt vertices of each part, because every
-    unburnt vertex of a part has received the same number of grains.
-    Each round burns one part and then the other, clique first or
-    independent first.  Returns the flattened block sizes of the rounds
-    (clique, independent) resp. (independent, clique), or None if
+    ``a`` and ``b`` are the clique and independent parts, passed as plain
+    tuples so that enumeration can test a candidate before building its
+    :class:`Config`.  Burning a sorted configuration proceeds in rounds
+    that always burn a prefix of the not-yet-burnt vertices of each part,
+    because every unburnt vertex of a part has received the same number
+    of grains.  Each round burns one part and then the other, clique
+    first or independent first.  Returns the flattened block sizes of the
+    rounds (clique, independent) resp. (independent, clique), or None if
     burning stalls (not recurrent).
     """
     n, d = graph.n, graph.d
-    a, b = config.clique, config.independent
     bk = bi = 0  # burnt clique / independent counts
     sizes: list[int] = []
     while bk < n or bi < d:
@@ -337,7 +341,7 @@ def is_recurrent(graph: SplitGraph, config: Config, with_witness: bool = False):
     n, d = graph.n, graph.d
 
     if is_sorted_config(config) and not with_witness:
-        return _burn_sorted(graph, config) is not None
+        return _burn_sorted(graph, config.clique, config.independent) is not None
 
     # General form: simulate the burning, toppling each vertex at most once.
     a = [x + 1 for x in config.clique]
@@ -381,14 +385,29 @@ def weakly_decreasing_tuples(length: int, max_value: int) -> Iterator[tuple[int,
     yield from combinations_with_replacement(range(max_value, -1, -1), length)
 
 
-def _enumerate_dhar(graph: SplitGraph) -> list[Config]:
-    out = []
+def iter_sorted_recurrent_sizes(graph: SplitGraph) -> Iterator[tuple[Config, tuple[int, ...]]]:
+    """Pairs (configuration, CTI block sizes) in the order of :func:`iter_sorted_recurrent`.
+
+    The block sizes are those of the burning test that admitted the
+    configuration, so a caller that needs both burns each candidate once.
+    """
+    indep = tuple(weakly_decreasing_tuples(graph.d, graph.indep_degree - 1))
     for a in weakly_decreasing_tuples(graph.n, graph.clique_degree - 1):
-        for b in weakly_decreasing_tuples(graph.d, graph.indep_degree - 1):
-            c = Config(a, b)
-            if _burn_sorted(graph, c) is not None:
-                out.append(c)
-    return out
+        for b in indep:
+            sizes = _burn_sorted(graph, a, b, clique_first=True)
+            if sizes is not None:
+                yield Config(a, b), sizes
+
+
+def iter_sorted_recurrent(graph: SplitGraph) -> Iterator[Config]:
+    """Sorted recurrent configurations, lexicographically decreasing, one at a time.
+
+    Every sorted stable candidate gets one counter-form burning test and
+    only those that burn become a :class:`Config`; nothing is cached, so
+    memory does not grow with the count.
+    """
+    for config, _ in iter_sorted_recurrent_sizes(graph):
+        yield config
 
 
 def _enumerate_phi(graph: SplitGraph) -> list[Config]:
@@ -403,7 +422,7 @@ def _enumerate_phi(graph: SplitGraph) -> list[Config]:
 def _enumerate_cached(n: int, d: int, backend: str) -> tuple[Config, ...]:
     graph = SplitGraph(n, d)
     if backend == "dhar":
-        return tuple(_enumerate_dhar(graph))
+        return tuple(iter_sorted_recurrent(graph))
     if backend == "phi":
         return tuple(_enumerate_phi(graph))
     raise PreconditionError(f"unknown backend {backend!r}")
@@ -413,8 +432,10 @@ def enumerate_sorted_recurrent(graph: SplitGraph, backend: str = "dhar") -> tupl
     """All sorted recurrent configurations, lexicographically decreasing.
 
     ``backend`` chooses between the direct filter of sorted stable
-    configurations ("dhar") and the image of all Schroder words under
-    phi ("phi"); the tests compare the two.
+    configurations ("dhar", :func:`iter_sorted_recurrent`) and the image
+    of all Schroder words under phi ("phi"); the tests compare the two.
+    The result is cached per shape and backend; callers that only walk
+    the set once should iterate :func:`iter_sorted_recurrent` instead.
     """
     return _enumerate_cached(graph.n, graph.d, backend)
 

@@ -29,10 +29,12 @@ from .asm import (
     PreconditionError,
     SplitGraph,
     config_to_json,
-    enumerate_sorted_recurrent,
     format_config,
     height,
     is_recurrent,
+    is_sorted_config,
+    iter_sorted_recurrent,
+    iter_sorted_recurrent_sizes,
     level,
     parse_config,
 )
@@ -74,19 +76,19 @@ def cmd_enumerate(args) -> int:
 
     if args.kind == "recurrent":
         if fmt == "csv":
+            # CTI block sizes are the burning counter form, not a simulation
             out.write("config,height,topple_cti,wtopple_cti\n")
-            for c in enumerate_sorted_recurrent(graph):
-                trace = tp.topple_cti(graph, c)
-                sizes = " ".join(str(x) for x in trace.sizes())
-                out.write(f'"{format_config(c)}",{height(c)},"{sizes}",{tp.wtopple(trace)}\n')
+            for c, sizes in iter_sorted_recurrent_sizes(graph):
+                text = " ".join(map(str, sizes))
+                out.write(f'"{format_config(c)}",{height(c)},"{text}",{tp.wtopple_of_sizes(sizes)}\n')
             return EXIT_OK
-        for c in enumerate_sorted_recurrent(graph):
+        for c in iter_sorted_recurrent(graph):
             emit(format_config(c), config_to_json(graph, c))
     elif args.kind == "words":
         for w in sc.enumerate_schroder(args.n, args.d):
             emit(w, {"word": w})
     elif args.kind == "polyominoes":
-        for c in enumerate_sorted_recurrent(graph):
+        for c in iter_sorted_recurrent(graph):
             p = po.from_config(graph, c)
             emit(f"{format_config(c)} upper={p.upper} lower={p.lower}", p.to_json())
     elif args.kind == "itc-sequences":
@@ -128,6 +130,11 @@ def _word_stats(word: str) -> dict:
 
 
 def _config_stats(graph: SplitGraph, config) -> dict:
+    if not is_sorted_config(config):
+        raise PreconditionError(
+            f"{format_config(config)} is not sorted: stats needs weakly decreasing clique "
+            "and independent parts"
+        )
     if not is_recurrent(graph, config):
         raise PreconditionError(f"{format_config(config)} is not recurrent")
     cti = tp.topple_cti(graph, config)
@@ -261,7 +268,7 @@ def cmd_render(args) -> int:
         directory = Path(args.batch_dir)
         directory.mkdir(parents=True, exist_ok=True)
         written = 0
-        for idx, c in enumerate(enumerate_sorted_recurrent(graph), start=1):
+        for idx, c in enumerate(iter_sorted_recurrent(graph), start=1):
             name = format_config(c).replace(",", "_").replace(";", "__")
             doc = svg.render_polyomino(po.from_config(graph, c), overlays=overlays)
             (directory / f"rec_{idx:03d}_{name}.svg").write_text(doc, encoding="utf-8")
@@ -343,7 +350,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except PreconditionError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PRECONDITION
@@ -352,6 +361,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(json.dumps(certificate, separators=(",", ":")) + "\n")
         return EXIT_INTERNAL
     except BrokenPipeError:  # pragma: no cover - shell pipelines
+        # the reader is gone: point stdout at devnull so that the flush of
+        # what is still buffered at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
 
 

@@ -30,6 +30,13 @@ def is_schroder(word: str) -> bool:
     return balance == 0
 
 
+def _require_schroder(word: str) -> None:
+    """The one validation of a word at a public entry point; helpers
+    handed an already-validated word skip it."""
+    if not is_schroder(word):
+        raise PreconditionError(f"{word!r} is not a Schroder word")
+
+
 def enumerate_schroder(n: int, d: int) -> Iterator[str]:
     """All Schroder words with n U's, n D's, d H's, in lexicographic order."""
     word: list[str] = []
@@ -92,8 +99,7 @@ def phi(word: str) -> Config:
     a_j + 1 is the number of non-U letters after the j-th U, and b_i is
     the number of D's after the i-th H.
     """
-    if not is_schroder(word):
-        raise PreconditionError(f"{word!r} is not a Schroder word")
+    _require_schroder(word)
     a_rev: list[int] = []
     b_rev: list[int] = []
     non_u = 0
@@ -174,8 +180,7 @@ def area(word: str) -> int:
     the path, a D step crossing column x at height y leaves y-1-x of them
     below it in that column, an H step leaves y-x.
     """
-    if not is_schroder(word):
-        raise PreconditionError(f"{word!r} is not a Schroder word")
+    _require_schroder(word)
     x = y = total = 0
     for ch in word:
         if ch == "U":
@@ -197,8 +202,7 @@ def triangles(word: str) -> frozenset[tuple[int, int]]:
     triangle set (UDH and HUD both have none), so path comparisons use
     :func:`column_profile` instead.
     """
-    if not is_schroder(word):
-        raise PreconditionError(f"{word!r} is not a Schroder word")
+    _require_schroder(word)
     x = y = 0
     cells: list[tuple[int, int]] = []
     for ch in word:
@@ -220,8 +224,7 @@ def column_profile(word: str) -> tuple[tuple[int, int], ...]:
     A D step at height h gives (h, h); an H step starting at height y
     gives (y, y+1).  The profile determines the word.
     """
-    if not is_schroder(word):
-        raise PreconditionError(f"{word!r} is not a Schroder word")
+    _require_schroder(word)
     x = y = 0
     cols: list[tuple[int, int]] = []
     for ch in word:
@@ -257,8 +260,7 @@ def word_le(w1: str, w2: str) -> bool:
 
 def collapse(word: str) -> str:
     """Remove all H steps; the result is a Dyck word."""
-    if not is_schroder(word):
-        raise PreconditionError(f"{word!r} is not a Schroder word")
+    _require_schroder(word)
     return word.replace("H", "")
 
 
@@ -270,10 +272,12 @@ def dyck_bounce(dyck: str) -> tuple[int, list[tuple[int, int]]]:
     repeat.  Returns the sum of the x-coordinates of the diagonal touch
     points (the initial corner excluded) and the peaks, top-most first.
     """
-    if set(dyck) - {"U", "D"}:
+    if set(dyck) - {"U", "D"} or not is_schroder(dyck):
         raise PreconditionError(f"{dyck!r} is not a Dyck word")
-    if not is_schroder(dyck):
-        raise PreconditionError(f"{dyck!r} is not a Dyck word")
+    return _dyck_bounce(dyck)
+
+
+def _dyck_bounce(dyck: str) -> tuple[int, list[tuple[int, int]]]:
     n = dyck.count("U")
     # x_of[y] = x-coordinate where the path first reaches height y
     x_of = [0] * (n + 1)
@@ -318,15 +322,21 @@ def schroder_peaks(word: str) -> list[tuple[int, int]]:
     The Dyck bounce peaks of the collapse sit on top of U steps; the same
     U steps of the uncollapsed word carry the Schroder peaks.
     """
-    _, dyck_peaks = dyck_bounce(collapse(word))
+    _require_schroder(word)
+    return _schroder_peaks(word)[1]
+
+
+def _schroder_peaks(word: str) -> tuple[int, list[tuple[int, int]]]:
+    """The bounce of the collapse and the Schroder peaks of a valid word."""
+    base, dyck_peaks = _dyck_bounce(word.replace("H", ""))
     tops = u_step_tops(word)
-    return [tops[y - 1] for _, y in dyck_peaks]
+    return base, [tops[y - 1] for _, y in dyck_peaks]
 
 
 def bounce_haglund(word: str) -> int:
     """bounce of the collapse plus, for every H step, the peaks above it."""
-    base, _ = dyck_bounce(collapse(word))
-    peaks = schroder_peaks(word)
+    _require_schroder(word)
+    base, peaks = _schroder_peaks(word)
     x = y = 0
     extra = 0
     for ch in word:
@@ -343,7 +353,8 @@ def bounce_haglund(word: str) -> int:
 
 def bounce_loehr(word: str) -> int:
     """Sum over peaks of the first-quadrant squares to their left in the same row."""
-    return sum(px for px, _ in schroder_peaks(word))
+    _require_schroder(word)
+    return sum(px for px, _ in _schroder_peaks(word)[1])
 
 
 def schroder_bounce(word: str) -> int:
@@ -363,8 +374,7 @@ def schroder_bounce_path(word: str) -> list[tuple[int, int]]:
     whenever it is about to enter the anti-diagonal band of an H step.
     Returns the visited lattice points from (n+d, n+d) to (0, 0).
     """
-    if not is_schroder(word):
-        raise PreconditionError(f"{word!r} is not a Schroder word")
+    _require_schroder(word)
     size = word.count("U") + word.count("H")
     # upper band edge of the H starting at (a, b) is the line x + y = a + b + 2
     band_edges = set()

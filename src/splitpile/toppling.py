@@ -121,7 +121,7 @@ def topple_itc(graph: SplitGraph, config: Config) -> ToppleTrace:
 
 def cti_sizes(graph: SplitGraph, config: Config) -> tuple[int, ...]:
     """Sizes of the CTI trace without materializing vertex sets."""
-    sizes = _burn_sorted(graph, config, clique_first=True)
+    sizes = _burn_sorted(graph, config.clique, config.independent, clique_first=True)
     if sizes is None:
         raise PreconditionError("configuration is not recurrent")
     return sizes
@@ -129,7 +129,7 @@ def cti_sizes(graph: SplitGraph, config: Config) -> tuple[int, ...]:
 
 def itc_sizes(graph: SplitGraph, config: Config) -> tuple[int, ...]:
     """Sizes of the ITC trace without materializing vertex sets."""
-    sizes = _burn_sorted(graph, config, clique_first=False)
+    sizes = _burn_sorted(graph, config.clique, config.independent, clique_first=False)
     if sizes is None:
         raise PreconditionError("configuration is not recurrent")
     return sizes

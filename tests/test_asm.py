@@ -16,11 +16,14 @@ from splitpile.asm import (
     is_recurrent,
     is_sorted_config,
     is_stable,
+    iter_sorted_recurrent,
+    iter_sorted_recurrent_sizes,
     level,
     parse_config,
     sorted_recurrent_count,
     stabilize,
     topple,
+    _enumerate_cached,
 )
 
 G22 = SplitGraph(2, 2)
@@ -198,6 +201,32 @@ def test_enumeration_backends_agree():
             assert enumerate_sorted_recurrent(g, backend="dhar") == enumerate_sorted_recurrent(
                 g, backend="phi"
             )
+
+
+def test_streaming_matches_phi_backend():
+    for n in range(1, 6):
+        for d in range(0, 5):
+            g = SplitGraph(n, d)
+            assert list(iter_sorted_recurrent(g)) == list(enumerate_sorted_recurrent(g, "phi"))
+
+
+def test_streamed_sizes_are_the_cti_sizes():
+    from splitpile.toppling import cti_sizes
+
+    for n in range(1, 5):
+        for d in range(0, 4):
+            g = SplitGraph(n, d)
+            pairs = list(iter_sorted_recurrent_sizes(g))
+            assert [c for c, _ in pairs] == list(iter_sorted_recurrent(g))
+            assert all(sizes == cti_sizes(g, c) for c, sizes in pairs)
+
+
+def test_streaming_first_config_without_building_the_set():
+    # S(8,5) has 29,099,070 sorted recurrent configurations
+    _enumerate_cached.cache_clear()
+    first = next(iter_sorted_recurrent(SplitGraph(8, 5)))
+    assert format_config(first) == "12,12,12,12,12,12,12,12;8,8,8,8,8"
+    assert _enumerate_cached.cache_info().currsize == 0
 
 
 def test_counts():

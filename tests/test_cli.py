@@ -1,9 +1,25 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
-from splitpile.asm import InternalError
+from splitpile.asm import (
+    InternalError,
+    SplitGraph,
+    _enumerate_cached,
+    enumerate_sorted_recurrent,
+    format_config,
+    height,
+)
 from splitpile.cli import main
+from splitpile.toppling import topple_cti, wtopple
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -28,6 +44,94 @@ def test_enumerate_recurrent_csv(capsys):
     assert lines[0] == "config,height,topple_cti,wtopple_cti"
     assert len(lines) == 31
     assert lines[1] == '"3,3;2,2",10,"2 2",4'
+
+
+def test_enumerate_csv_matches_cti_simulation(capsys):
+    # the CSV takes block sizes from the burning counter form; the full
+    # parallel-toppling simulation must give the same rows
+    for n, d in [(3, 2), (4, 3)]:
+        g = SplitGraph(n, d)
+        code, out, _ = run_cli(capsys, "enumerate", "recurrent", "-n", str(n), "-d", str(d), "--format", "csv")
+        assert code == 0
+        expected = ["config,height,topple_cti,wtopple_cti"]
+        for c in enumerate_sorted_recurrent(g):
+            trace = topple_cti(g, c)
+            sizes = " ".join(str(x) for x in trace.sizes())
+            expected.append(f'"{format_config(c)}",{height(c)},"{sizes}",{wtopple(trace)}')
+        assert out.splitlines() == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["recurrent"],
+        ["recurrent", "--format", "csv"],
+        ["recurrent", "--format", "json"],
+        ["polyominoes"],
+    ],
+)
+def test_enumerate_streams_without_filling_the_cache(capsys, argv):
+    _enumerate_cached.cache_clear()
+    code, out, _ = run_cli(capsys, "enumerate", argv[0], "-n", "3", "-d", "2", *argv[1:])
+    assert code == 0 and out
+    assert _enumerate_cached.cache_info().currsize == 0
+
+
+def _limit_memory():
+    # a command that materializes the set fails fast instead of filling RAM
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def _child_env() -> dict:
+    # stdout stays buffered, as in a shell pipeline, so that a closed pipe
+    # also meets the flush at interpreter exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return env
+
+
+def test_enumerate_streams_first_rows_and_survives_closed_pipe():
+    # S(8,5) has 29,099,070 rows; reading the first 2,000 and closing the
+    # pipe must end the command cleanly
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "splitpile.cli", "enumerate", "recurrent", "-n", "8", "-d", "5",
+         "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=_limit_memory,
+        env=_child_env(),
+    )
+    watchdog = threading.Timer(30, proc.kill)
+    watchdog.start()
+    try:
+        lines = [proc.stdout.readline() for _ in range(2000)]
+        proc.stdout.close()
+        code = proc.wait(timeout=30)
+        err = proc.stderr.read().decode()
+    finally:
+        watchdog.cancel()
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert lines[0] == b"config,height,topple_cti,wtopple_cti\n"
+    assert lines[1] == b'"12,12,12,12,12,12,12,12;8,8,8,8,8",136,"8 5",13\n'
+    assert all(line.endswith(b"\n") for line in lines)
+    assert code == 0
+    assert err == ""
+
+
+def test_enumerate_survives_pipe_closed_before_output():
+    # the 30 rows of S(2,2) fit in stdout's buffer, so the broken pipe
+    # shows only when the buffer is flushed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "splitpile.cli", "enumerate", "recurrent", "-n", "2", "-d", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, env=_child_env(), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
 
 
 def test_enumerate_words_and_sequences(capsys):
@@ -93,6 +197,13 @@ def test_stats_rejects_non_recurrent(capsys):
     code, _, err = run_cli(capsys, "stats", "2,2;1,1", "-n", "2", "-d", "2")
     assert code == 3
     assert "not recurrent" in err
+
+
+def test_stats_rejects_unsorted_config(capsys):
+    code, out, err = run_cli(capsys, "stats", "2,3;2,2", "-n", "2", "-d", "2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: 2,3;2,2 is not sorted")
 
 
 def test_stats_rejects_shape_mismatch(capsys):

@@ -242,3 +242,16 @@ def test_phi_roundtrip_on_random_words(letters):
     c = phi(w)
     assert phi_inv(c) == w
     assert mirror(mirror(w)) == w
+
+
+@pytest.mark.parametrize("bad", ["UUX", "DU"])
+def test_every_word_entry_point_rejects_a_bad_word(bad):
+    # helpers skip the validation, so each public function must make it
+    entry_points = [
+        phi, area, triangles, column_profile, collapse, dyck_bounce, schroder_peaks,
+        bounce_haglund, bounce_loehr, schroder_bounce, schroder_bounce_path,
+        lambda w: word_le(w, "UD"), lambda w: word_le("UD", w),
+    ]
+    for fn in entry_points:
+        with pytest.raises(PreconditionError):
+            fn(bad)
