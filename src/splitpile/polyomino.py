@@ -11,6 +11,7 @@ recurrent configurations map onto them directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .asm import (
     Config,
@@ -54,27 +55,22 @@ class SawtoothPolyomino:
     def dim(self) -> tuple[int, int]:
         return (self.n + 1, self.d)
 
+    @cached_property
+    def _points(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+        """Both boundaries walked once.  cached_property stores into the
+        instance ``__dict__``, which the frozen dataclass allows and which
+        equality, hashing and JSON never read."""
+        start = (self.n + 1, self.d)
+        return (
+            tuple(schroder.lattice_points(self.upper, start)),
+            tuple(schroder.lattice_points(self.lower, start)),
+        )
+
     def upper_points(self) -> list[tuple[int, int]]:
-        pts = [(self.n + 1, self.d)]
-        x, y = pts[0]
-        for ch in self.upper:
-            if ch == "N":
-                x, y = x - 1, y + 1
-            else:
-                x, y = x, y - 1
-            pts.append((x, y))
-        return pts
+        return list(self._points[0])
 
     def lower_points(self) -> list[tuple[int, int]]:
-        pts = [(self.n + 1, self.d)]
-        x, y = pts[0]
-        for ch in self.lower:
-            if ch == "W":
-                x, y = x - 1, y
-            else:
-                x, y = x, y - 1
-            pts.append((x, y))
-        return pts
+        return list(self._points[1])
 
     def to_json(self) -> dict:
         return {"dim": [self.n + 1, self.d], "upper": self.upper, "lower": self.lower}
@@ -107,7 +103,8 @@ def sts(word: str) -> SawtoothPolyomino:
 
 def is_valid(poly: SawtoothPolyomino) -> bool:
     """True iff the two paths share no point besides the two endpoints."""
-    shared = set(poly.upper_points()) & set(poly.lower_points())
+    upper, lower = poly._points
+    shared = set(upper).intersection(lower)
     return shared == {(poly.n + 1, poly.d), (0, 0)}
 
 
@@ -156,31 +153,18 @@ def from_config(graph: SplitGraph, config: Config) -> SawtoothPolyomino:
 def area(poly: SawtoothPolyomino) -> int:
     """Unit squares with all four lattice corners inside the polyomino.
 
-    A square counts iff its centre lies inside the closed curve
-    upper + reversed lower (even-odd rule) and no nw step cuts it.
+    Column x (between abscissas x and x+1) is crossed by exactly one nw
+    step of the upper path, from (x+1, top) to (x, top+1), and one w step
+    of the lower path at height floor; its full squares are the
+    top - floor between them.  The verify suite and the tests check the
+    result against the height theorem.
     """
     if not is_valid(poly):
         raise PreconditionError("area is defined for valid polyominoes only")
-    verticals: list[tuple[int, int]] = []  # (x, lower y) of unit vertical segments
-    diagonals: list[tuple[int, int]] = []  # (x, y) start of nw step, going to (x-1, y+1)
-    for pts in (poly.upper_points(), poly.lower_points()):
-        for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
-            if x1 == x2:
-                verticals.append((x1, min(y1, y2)))
-            elif y1 != y2:
-                diagonals.append((x1, y1))
-    cut = {(x - 1, y) for x, y in diagonals}
-    total = 0
-    for sx in range(0, poly.n + 1):
-        for sy in range(0, poly.n + poly.d + 2):
-            if (sx, sy) in cut:
-                continue
-            crossings = sum(1 for x, y in verticals if y == sy and x >= sx + 1)
-            # nw step from (x, y): its segment crosses the ray at x - 1/2
-            crossings += sum(1 for x, y in diagonals if y == sy and x >= sx + 2)
-            if crossings % 2 == 1:
-                total += 1
-    return total
+    upper, lower = poly._points
+    tops = sum(y for ch, (_, y) in zip(poly.upper, upper) if ch == "N")
+    floors = sum(y for ch, (_, y) in zip(poly.lower, lower) if ch == "W")
+    return tops - floors
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +198,7 @@ def cti_bounce(poly: SawtoothPolyomino) -> BounceRecord:
     following s run p_i + q_i."""
     if not is_valid(poly):
         raise PreconditionError("bounce paths require a valid polyomino")
-    upper = set(poly.upper_points())
-    lower = set(poly.lower_points())
+    upper, lower = map(set, poly._points)
     x, y = poly.n, poly.d
     path = [(x, y)]
     sizes: list[int] = []
@@ -244,8 +227,7 @@ def itc_bounce(poly: SawtoothPolyomino) -> BounceRecord:
     final run ending on the lower path contributes p'_k = 0."""
     if not is_valid(poly):
         raise PreconditionError("bounce paths require a valid polyomino")
-    upper = set(poly.upper_points())
-    lower = set(poly.lower_points())
+    upper, lower = map(set, poly._points)
     x, y = poly.n, poly.d
     path = [(x, y)]
     sizes: list[int] = []

@@ -30,6 +30,32 @@ def is_schroder(word: str) -> bool:
     return balance == 0
 
 
+_MOVES = {
+    "U": (0, 1), "H": (1, 1), "D": (1, 0),  # words
+    "N": (-1, 1), "S": (0, -1), "W": (-1, 0),  # polyomino boundaries
+}
+
+
+def lattice_points(steps: str, start: tuple[int, int] = (0, 0)) -> list[tuple[int, int]]:
+    """The points a step string visits from ``start``, start included.
+
+    Words step U = (0,1), H = (1,1), D = (1,0); the boundary paths of a
+    sawtooth polyomino step N = (-1,1), S = (0,-1), W = (-1,0).  This is
+    the one walk behind every word statistic and polyomino boundary.
+    """
+    x, y = start
+    points = [start]
+    try:
+        for ch in steps:
+            dx, dy = _MOVES[ch]
+            x += dx
+            y += dy
+            points.append((x, y))
+    except KeyError:
+        raise PreconditionError(f"{steps!r} has letters outside UHDNSW") from None
+    return points
+
+
 def _require_schroder(word: str) -> None:
     """The one validation of a word at a public entry point; helpers
     handed an already-validated word skip it."""
@@ -176,23 +202,12 @@ def mirror(word: str) -> str:
 def area(word: str) -> int:
     """Lower triangles strictly between the path and the diagonal y = x.
 
-    A lower triangle has vertex set {(i,j), (i+1,j), (i+1,j+1)}; walking
-    the path, a D step crossing column x at height y leaves y-1-x of them
-    below it in that column, an H step leaves y-x.
+    A lower triangle has vertex set {(i,j), (i+1,j), (i+1,j+1)}; an H or
+    D step ending at (x, y) crosses column x-1 and leaves y-x of them
+    below it in that column.
     """
     _require_schroder(word)
-    x = y = total = 0
-    for ch in word:
-        if ch == "U":
-            y += 1
-        elif ch == "H":
-            total += y - x
-            x += 1
-            y += 1
-        else:
-            total += y - 1 - x
-            x += 1
-    return total
+    return sum(y - x for ch, (x, y) in zip(word, lattice_points(word)[1:]) if ch != "U")
 
 
 def triangles(word: str) -> frozenset[tuple[int, int]]:
@@ -203,19 +218,12 @@ def triangles(word: str) -> frozenset[tuple[int, int]]:
     :func:`column_profile` instead.
     """
     _require_schroder(word)
-    x = y = 0
-    cells: list[tuple[int, int]] = []
-    for ch in word:
-        if ch == "U":
-            y += 1
-        elif ch == "H":
-            cells.extend((x, j) for j in range(x + 1, y + 1))
-            x += 1
-            y += 1
-        else:
-            cells.extend((x, j) for j in range(x + 1, y))
-            x += 1
-    return frozenset(cells)
+    return frozenset(
+        (x - 1, j)
+        for ch, (x, y) in zip(word, lattice_points(word)[1:])
+        if ch != "U"
+        for j in range(x, y)
+    )
 
 
 def column_profile(word: str) -> tuple[tuple[int, int], ...]:
@@ -225,19 +233,8 @@ def column_profile(word: str) -> tuple[tuple[int, int], ...]:
     gives (y, y+1).  The profile determines the word.
     """
     _require_schroder(word)
-    x = y = 0
-    cols: list[tuple[int, int]] = []
-    for ch in word:
-        if ch == "U":
-            y += 1
-        elif ch == "H":
-            cols.append((y, y + 1))
-            x += 1
-            y += 1
-        else:
-            cols.append((y, y))
-            x += 1
-    return tuple(cols)
+    pts = lattice_points(word)
+    return tuple((y0, y1) for ch, (_, y0), (_, y1) in zip(word, pts, pts[1:]) if ch != "U")
 
 
 def word_le(w1: str, w2: str) -> bool:
@@ -300,20 +297,9 @@ def _dyck_bounce(dyck: str) -> tuple[int, list[tuple[int, int]]]:
     return total, peaks
 
 
-def u_step_tops(word: str) -> list[tuple[int, int]]:
+def _u_step_tops(word: str) -> list[tuple[int, int]]:
     """Top endpoint of each U step, in word order."""
-    x = y = 0
-    tops: list[tuple[int, int]] = []
-    for ch in word:
-        if ch == "U":
-            y += 1
-            tops.append((x, y))
-        elif ch == "H":
-            x += 1
-            y += 1
-        else:
-            x += 1
-    return tops
+    return [p for ch, p in zip(word, lattice_points(word)[1:]) if ch == "U"]
 
 
 def schroder_peaks(word: str) -> list[tuple[int, int]]:
@@ -329,7 +315,7 @@ def schroder_peaks(word: str) -> list[tuple[int, int]]:
 def _schroder_peaks(word: str) -> tuple[int, list[tuple[int, int]]]:
     """The bounce of the collapse and the Schroder peaks of a valid word."""
     base, dyck_peaks = _dyck_bounce(word.replace("H", ""))
-    tops = u_step_tops(word)
+    tops = _u_step_tops(word)
     return base, [tops[y - 1] for _, y in dyck_peaks]
 
 
@@ -337,18 +323,9 @@ def bounce_haglund(word: str) -> int:
     """bounce of the collapse plus, for every H step, the peaks above it."""
     _require_schroder(word)
     base, peaks = _schroder_peaks(word)
-    x = y = 0
-    extra = 0
-    for ch in word:
-        if ch == "U":
-            y += 1
-        elif ch == "H":
-            extra += sum(1 for _, py in peaks if py > y)
-            x += 1
-            y += 1
-        else:
-            x += 1
-    return base + extra
+    return base + sum(
+        py > y for ch, (_, y) in zip(word, lattice_points(word)) if ch == "H" for _, py in peaks
+    )
 
 
 def bounce_loehr(word: str) -> int:
@@ -377,18 +354,8 @@ def schroder_bounce_path(word: str) -> list[tuple[int, int]]:
     _require_schroder(word)
     size = word.count("U") + word.count("H")
     # upper band edge of the H starting at (a, b) is the line x + y = a + b + 2
-    band_edges = set()
-    x = y = 0
-    for ch in word:
-        if ch == "U":
-            y += 1
-        elif ch == "H":
-            band_edges.add(x + y + 2)
-            x += 1
-            y += 1
-        else:
-            x += 1
-    u_tops = set(u_step_tops(word))
+    band_edges = {x + y + 2 for ch, (x, y) in zip(word, lattice_points(word)) if ch == "H"}
+    u_tops = set(_u_step_tops(word))
     pos = (size, size)
     points = [pos]
     heading_west = True

@@ -56,18 +56,7 @@ def render_path(
         body.append(f'<line x1="{pad}" y1="{c}" x2="{side - pad}" y2="{c}" stroke="#cccccc" stroke-width="1"/>')
     body.append(_polyline([px((0, 0)), px((size, size))], "#333333", 1))
 
-    pts = [(0, 0)]
-    x = y = 0
-    for ch in word:
-        if ch == "U":
-            y += 1
-        elif ch == "H":
-            x += 1
-            y += 1
-        else:
-            x += 1
-        pts.append((x, y))
-    body.append(_polyline([px(p) for p in pts], "#1f4fbf", 4))
+    body.append(_polyline([px(p) for p in sc.lattice_points(word)], "#1f4fbf", 4))
 
     if "bounce" in overlays:
         walk = sc.schroder_bounce_path(word)

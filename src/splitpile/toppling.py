@@ -119,20 +119,25 @@ def topple_itc(graph: SplitGraph, config: Config) -> ToppleTrace:
     return _run_parallel(graph, config, clique_first=False)
 
 
-def cti_sizes(graph: SplitGraph, config: Config) -> tuple[int, ...]:
-    """Sizes of the CTI trace without materializing vertex sets."""
-    sizes = _burn_sorted(graph, config.clique, config.independent, clique_first=True)
+def _burn_sizes(graph: SplitGraph, config: Config, clique_first: bool) -> tuple[int, ...]:
+    # the counter-form burn reads blocks off sorted runs, so an unsorted
+    # configuration would give wrong sizes rather than fail
+    if not is_sorted_config(config):
+        raise PreconditionError("toppling sizes require a sorted configuration")
+    sizes = _burn_sorted(graph, config.clique, config.independent, clique_first)
     if sizes is None:
         raise PreconditionError("configuration is not recurrent")
     return sizes
+
+
+def cti_sizes(graph: SplitGraph, config: Config) -> tuple[int, ...]:
+    """Sizes of the CTI trace without materializing vertex sets."""
+    return _burn_sizes(graph, config, clique_first=True)
 
 
 def itc_sizes(graph: SplitGraph, config: Config) -> tuple[int, ...]:
     """Sizes of the ITC trace without materializing vertex sets."""
-    sizes = _burn_sorted(graph, config.clique, config.independent, clique_first=False)
-    if sizes is None:
-        raise PreconditionError("configuration is not recurrent")
-    return sizes
+    return _burn_sizes(graph, config, clique_first=False)
 
 
 def trace_to_json(trace: ToppleTrace) -> dict:

@@ -211,7 +211,8 @@ def check_identity_chain(n: int, d: int) -> dict | None:
             return {"method": name, "difference": (other - reference).to_json()}
     if reference.evaluate(1, 1) != sorted_recurrent_count(n, d):
         return {"method": "evaluation_at_1_1"}
-    if not qt.is_qt_symmetric(qt.qt_schroder(n, d)):
+    # qt_schroder(n, d) equals reference here, so its symmetry is checked on it
+    if not qt.is_qt_symmetric(reference):
         return {"method": "qt_symmetry"}
     return None
 

@@ -25,15 +25,21 @@ CONF_A = parse_config("7,4,2,1;4,4,3,3,1")
 def test_sts_worked_example_paths():
     p = sts(WORD_A)
     assert p.dim == (5, 5)
-    assert p.upper_points() == [
-        (5, 5), (4, 6), (4, 5), (3, 6), (3, 5), (3, 4), (3, 3), (2, 4),
-        (2, 3), (2, 2), (1, 3), (1, 2), (0, 3), (0, 2), (0, 1), (0, 0),
-    ]
-    assert p.lower_points() == [
-        (5, 5), (5, 4), (5, 3), (4, 3), (4, 2), (4, 1), (3, 1), (2, 1),
-        (2, 0), (1, 0), (0, 0),
-    ]
+    for _ in range(2):
+        upper, lower = p.upper_points(), p.lower_points()
+        assert upper == [
+            (5, 5), (4, 6), (4, 5), (3, 6), (3, 5), (3, 4), (3, 3), (2, 4),
+            (2, 3), (2, 2), (1, 3), (1, 2), (0, 3), (0, 2), (0, 1), (0, 0),
+        ]
+        assert lower == [
+            (5, 5), (5, 4), (5, 3), (4, 3), (4, 2), (4, 1), (3, 1), (2, 1),
+            (2, 0), (1, 0), (0, 0),
+        ]
+        # the lists are copies: mutating them leaves the cached walk intact
+        upper.clear()
+        lower.reverse()
     assert is_valid(p)
+    assert area(p) == 12
 
 
 def test_sts_minimal_and_invalid():
@@ -41,6 +47,9 @@ def test_sts_minimal_and_invalid():
     assert p.dim == (2, 0)
     assert is_valid(p)
     assert not is_valid(sts("DU"))
+    for fn in (area, cti_bounce, itc_bounce):
+        with pytest.raises(PreconditionError):
+            fn(sts("DU"))
     with pytest.raises(PreconditionError):
         sts("UDH X")
     with pytest.raises(PreconditionError):
@@ -146,9 +155,11 @@ def test_bounce_record_normalization():
 
 def test_json_roundtrip():
     p = sts(WORD_A)
+    area(p)  # fills the cached boundary walk, which equality and hashing ignore
     obj = p.to_json()
-    assert obj["dim"] == [5, 5]
+    assert obj == {"dim": [5, 5], "upper": p.upper, "lower": p.lower}
     assert polyomino_from_json(obj) == p
+    assert hash(polyomino_from_json(obj)) == hash(p)
     assert polyomino_from_json(json.loads(json.dumps(obj))) == p
 
 

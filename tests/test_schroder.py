@@ -13,6 +13,7 @@ from splitpile.schroder import (
     enumerate_schroder,
     enumerate_words,
     is_schroder,
+    lattice_points,
     mirror,
     phi,
     phi_inv,
@@ -22,6 +23,7 @@ from splitpile.schroder import (
     triangles,
     word_le,
 )
+from splitpile.svg import render_path
 from splitpile.toppling import itc_sequence_of, topple_itc, wtopple
 
 W53 = "UHUDUHHDUDUDD"
@@ -255,3 +257,19 @@ def test_every_word_entry_point_rejects_a_bad_word(bad):
     for fn in entry_points:
         with pytest.raises(PreconditionError):
             fn(bad)
+
+
+def test_lattice_points_moves():
+    assert lattice_points("UHD") == [(0, 0), (0, 1), (1, 2), (2, 2)]
+    assert lattice_points("NSW", start=(2, 1)) == [(2, 1), (1, 2), (1, 1), (0, 1)]
+    assert lattice_points("") == [(0, 0)]
+    with pytest.raises(PreconditionError):
+        lattice_points("UX")
+
+
+def test_render_path_draws_the_word():
+    # the blue polyline is exactly the pixel image of the walked word
+    doc = render_path(M53, overlays=(), cell=32)
+    pad, size = 16, M53.count("U") + M53.count("H")
+    expected = " ".join(f"{pad + x * 32},{pad + (size - y) * 32}" for x, y in lattice_points(M53))
+    assert f'<polyline points="{expected}" fill="none" stroke="#1f4fbf"' in doc

@@ -70,10 +70,11 @@ def test_cti_itc_coincide_on_single_round():
 
 
 def test_trace_preconditions():
-    with pytest.raises(PreconditionError):
-        topple_cti(G22, parse_config("2,2;1,1"))  # not recurrent
-    with pytest.raises(PreconditionError):
-        topple_cti(G22, Config((2, 3), (2, 2)))  # unsorted
+    for fn in (topple_cti, topple_itc, cti_sizes, itc_sizes):
+        with pytest.raises(PreconditionError):
+            fn(G22, parse_config("2,2;1,1"))  # not recurrent
+        with pytest.raises(PreconditionError):
+            fn(G22, Config((2, 3), (2, 2)))  # unsorted
 
 
 def test_size_shortcuts_match_traces():
