@@ -193,20 +193,11 @@ def topple(graph: SplitGraph, config: Config, vertex) -> Config:
     v = int(vertex)
     if not 0 <= v < n + d:
         raise PreconditionError(f"vertex {vertex!r} out of range for S({n},{d})")
-    if v < n:
-        if a[v] < graph.clique_degree:
-            raise PreconditionError(f"clique vertex v{v + 1} is stable; cannot topple")
-        a[v] -= graph.clique_degree
-        for i in range(n):
-            if i != v:
-                a[i] += 1
-        b = [x + 1 for x in b]
-    else:
-        j = v - n
-        if b[j] < graph.indep_degree:
-            raise PreconditionError(f"independent vertex w{j + 1} is stable; cannot topple")
-        b[j] -= graph.indep_degree
-        a = [x + 1 for x in a]
+    if v < n and a[v] < graph.clique_degree:
+        raise PreconditionError(f"clique vertex v{v + 1} is stable; cannot topple")
+    if v >= n and b[v - n] < graph.indep_degree:
+        raise PreconditionError(f"independent vertex w{v - n + 1} is stable; cannot topple")
+    _topple_inplace(graph, a, b, v)
     return Config(a, b)
 
 

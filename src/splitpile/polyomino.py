@@ -66,6 +66,16 @@ class SawtoothPolyomino:
             tuple(schroder.lattice_points(self.lower, start)),
         )
 
+    @cached_property
+    def _boundary_sets(self) -> tuple[frozenset, frozenset] | None:
+        """Both boundaries as point sets, or None when they share a point
+        besides the two endpoints: validity is decided once, and cached
+        like ``_points``."""
+        upper, lower = map(frozenset, self._points)
+        if upper & lower != {(self.n + 1, self.d), (0, 0)}:
+            return None
+        return upper, lower
+
     def upper_points(self) -> list[tuple[int, int]]:
         return list(self._points[0])
 
@@ -103,9 +113,7 @@ def sts(word: str) -> SawtoothPolyomino:
 
 def is_valid(poly: SawtoothPolyomino) -> bool:
     """True iff the two paths share no point besides the two endpoints."""
-    upper, lower = poly._points
-    shared = set(upper).intersection(lower)
-    return shared == {(poly.n + 1, poly.d), (0, 0)}
+    return poly._boundary_sets is not None
 
 
 def from_config(graph: SplitGraph, config: Config) -> SawtoothPolyomino:
@@ -192,69 +200,52 @@ class BounceRecord:
         return sizes
 
 
-def cti_bounce(poly: SawtoothPolyomino) -> BounceRecord:
-    """Bounce path that first travels nw to the upper path, then s to the
-    lower path, from (n, d) to the origin; nw runs have sizes p_i and the
-    following s run p_i + q_i."""
-    if not is_valid(poly):
+def _bounce(poly: SawtoothPolyomino, mode: str) -> BounceRecord:
+    """Bounce path from (n, d) to the origin, alternating nw runs that stop
+    on the upper path with s runs that stop on the lower path; CTI starts
+    with a nw run, ITC with an s run.  Each nw run is a clique block and
+    each s run, less the nw run before it, an independent block."""
+    sets = poly._boundary_sets
+    if sets is None:
         raise PreconditionError("bounce paths require a valid polyomino")
-    upper, lower = map(set, poly._points)
-    x, y = poly.n, poly.d
-    path = [(x, y)]
-    sizes: list[int] = []
-    for _ in range(poly.n + poly.d + 2):
-        p = 0
-        while (x, y) not in upper:
-            x, y = x - 1, y + 1
-            path.append((x, y))
-            p += 1
-        s = 0
-        while (x, y) not in lower:
-            x, y = x, y - 1
-            path.append((x, y))
-            s += 1
-        if s < p:
-            raise InternalError("cti bounce s-run shorter than its nw-run")
-        sizes.extend((p, s - p))
-        if (x, y) == (0, 0):
-            return BounceRecord(CTI, tuple(sizes), tuple(path))
-    raise InternalError("cti bounce did not reach the origin")
-
-
-def itc_bounce(poly: SawtoothPolyomino) -> BounceRecord:
-    """Bounce path that first travels s to the lower path, then nw to the
-    upper path; s runs have sizes q'_1 and then p'_{i-1} + q'_i, and a
-    final run ending on the lower path contributes p'_k = 0."""
-    if not is_valid(poly):
-        raise PreconditionError("bounce paths require a valid polyomino")
-    upper, lower = map(set, poly._points)
+    upper, lower = sets
+    runs = [((-1, 1), upper), ((0, -1), lower)]
+    if mode == ITC:
+        runs.reverse()
     x, y = poly.n, poly.d
     path = [(x, y)]
     sizes: list[int] = []
     prev_p = 0
-    for _ in range(poly.n + poly.d + 2):
-        s = 0
-        while (x, y) not in lower:
-            x, y = x, y - 1
+    for i in range(2 * (poly.n + poly.d + 2)):
+        (dx, dy), stop = runs[i % 2]
+        run = 0
+        while (x, y) not in stop:
+            x, y = x + dx, y + dy
             path.append((x, y))
-            s += 1
-        if s < prev_p:
-            raise InternalError("itc bounce s-run shorter than the preceding nw-run")
-        q = s - prev_p
+            run += 1
+        if stop is upper:
+            sizes.append(run)
+            prev_p = run
+        elif run < prev_p:
+            raise InternalError(f"{mode} bounce s-run shorter than the preceding nw-run")
+        else:
+            sizes.append(run - prev_p)
         if (x, y) == (0, 0):
-            # a final descent longer than the last nw-run means one more
-            # independent-only round, padded with p'_k = 0
-            if q > 0:
-                sizes.extend((q, 0))
-            return BounceRecord(ITC, tuple(sizes), tuple(path))
-        p = 0
-        while (x, y) not in upper:
-            x, y = x - 1, y + 1
-            path.append((x, y))
-            p += 1
-        sizes.extend((q, p))
-        prev_p = p
-        if (x, y) == (0, 0):
-            return BounceRecord(ITC, tuple(sizes), tuple(path))
-    raise InternalError("itc bounce did not reach the origin")
+            # ITC may close on an s run: its independent-only round gets
+            # p'_k = 0, and an empty one is dropped
+            if len(sizes) % 2:
+                sizes.append(0)
+            if sizes[-2:] == [0, 0]:
+                del sizes[-2:]
+            return BounceRecord(mode, tuple(sizes), tuple(path))
+    raise InternalError(f"{mode} bounce did not reach the origin")
 
+
+def cti_bounce(poly: SawtoothPolyomino) -> BounceRecord:
+    """Bounce path that first travels nw; sizes (p1, q1, ..., pk, qk)."""
+    return _bounce(poly, CTI)
+
+
+def itc_bounce(poly: SawtoothPolyomino) -> BounceRecord:
+    """Bounce path that first travels s; sizes (q'1, p'1, ..., q'k, p'k)."""
+    return _bounce(poly, ITC)

@@ -99,12 +99,9 @@ def render_polyomino(
     body.append(_polyline([px(p) for p in poly.upper_points()], "#1f4fbf", 4))
     body.append(_polyline([px(p) for p in poly.lower_points()], "#444444", 4))
 
-    if "cti" in overlays:
-        rec = cti_bounce(poly)
-        body.append(_polyline([px(p) for p in rec.path], "#cc2222", 2, dashed=True))
-    if "itc" in overlays:
-        rec = itc_bounce(poly)
-        body.append(_polyline([px(p) for p in rec.path], "#2266cc", 2, dashed=True))
+    for mode, bounce, color in (("cti", cti_bounce, "#cc2222"), ("itc", itc_bounce, "#2266cc")):
+        if mode in overlays:
+            body.append(_polyline([px(p) for p in bounce(poly).path], color, 2, dashed=True))
 
     body.append(
         f'<text x="{pad}" y="{height - 2}" font-size="12" font-family="monospace">'

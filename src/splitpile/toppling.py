@@ -52,10 +52,7 @@ class ToppleTrace:
 
 def wtopple(trace: ToppleTrace) -> int:
     """Time-weighted toppling count: sum of i * (vertices toppled in round i)."""
-    return sum(
-        i * (len(first) + len(second))
-        for i, (first, second) in enumerate(trace.rounds, start=1)
-    )
+    return wtopple_of_sizes(trace.sizes())
 
 
 def wtopple_of_sizes(sizes: tuple[int, ...]) -> int:
@@ -195,10 +192,7 @@ def itc_sequence_of(trace: ToppleTrace) -> ItcSequence:
     """Regroup an ITC trace's sizes into the [(q'), (p')] pair."""
     if trace.mode != ITC:
         raise PreconditionError(f"need an ITC trace, got mode {trace.mode}")
-    return ItcSequence(
-        tuple(len(first) for first, _ in trace.rounds),
-        tuple(len(second) for _, second in trace.rounds),
-    )
+    return itc_sequence_of_sizes(trace.sizes())
 
 
 def itc_sequence_of_sizes(sizes: tuple[int, ...]) -> ItcSequence:
@@ -276,18 +270,10 @@ def canonical_config(graph: SplitGraph, seq: ItcSequence) -> Config:
         is_sorted_config(candidate)
         and is_nonnegative(candidate)
         and is_recurrent(graph, candidate)
-        and itc_sizes(graph, candidate) == _flatten(seq)
+        and itc_sequence_of_sizes(itc_sizes(graph, candidate)) == seq
     ):
         return candidate
     raise PreconditionError(f"sequence {seq} is not realizable on S({n},{d})")
-
-
-def _flatten(seq: ItcSequence) -> tuple[int, ...]:
-    out: list[int] = []
-    for q, p in zip(seq.b, seq.a):
-        out.append(q)
-        out.append(p)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +290,15 @@ def count_itc(n: int, d: int, k: int | None = None) -> int:
     """Number of ITC toppling sequences on S(n, d), per length or in total."""
     if n < 1 or d < 0:
         raise PreconditionError(f"need n >= 1 and d >= 0, got ({n}, {d})")
-    if k is not None:
-        if k < 1:
-            raise PreconditionError("sequence length must be >= 1")
-        if k == 1:
-            return 1
-        return _comb(d + k - 2, d - 1) * _comb(n - 1, k - 2) + _comb(d + k - 1, d) * _comb(
-            n - 1, k - 1
-        )
-    return sum(_comb(d + j, d) * _comb(n - 1, j - 1) for j in range(1, n + 1))
+    if k is None:
+        return sum(count_itc(n, d, j) for j in range(1, n + 2))
+    if k < 1:
+        raise PreconditionError("sequence length must be >= 1")
+    if k == 1:
+        return 1
+    return _comb(d + k - 2, d - 1) * _comb(n - 1, k - 2) + _comb(d + k - 1, d) * _comb(
+        n - 1, k - 1
+    )
 
 
 def count_ehkk(n: int, d: int, k: int | None = None) -> int:
@@ -320,8 +306,8 @@ def count_ehkk(n: int, d: int, k: int | None = None) -> int:
     q,t-Schroder sum, per length or in total; the total matches count_itc."""
     if n < 1 or d < 0:
         raise PreconditionError(f"need n >= 1 and d >= 0, got ({n}, {d})")
-    if k is not None:
-        if k < 1:
-            raise PreconditionError("length must be >= 1")
-        return _comb(n - 1, k - 1) * _comb(d + k, d)
-    return sum(_comb(n - 1, j - 1) * _comb(d + j, d) for j in range(1, n + 1))
+    if k is None:
+        return sum(count_ehkk(n, d, j) for j in range(1, n + 1))
+    if k < 1:
+        raise PreconditionError("length must be >= 1")
+    return _comb(n - 1, k - 1) * _comb(d + k, d)

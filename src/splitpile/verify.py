@@ -341,26 +341,6 @@ def check_conjecture_cti_schroder(n: int, d: int) -> dict | None:
     return None
 
 
-def check_conjecture_bistatistic_bijection(n: int, d: int) -> dict | None:
-    """A bijection preserving (height, wtopple) across the two toppling
-    orders exists iff the two bistatistic multisets coincide."""
-    graph = SplitGraph(n, d)
-    from collections import Counter
-
-    cti = Counter(
-        (height(c), tp.wtopple_of_sizes(tp.cti_sizes(graph, c)))
-        for c in enumerate_sorted_recurrent(graph)
-    )
-    itc = Counter(
-        (height(c), tp.wtopple_of_sizes(tp.itc_sizes(graph, c)))
-        for c in enumerate_sorted_recurrent(graph)
-    )
-    if cti != itc:
-        sample = next(iter(set(cti.items()) ^ set(itc.items())))
-        return {"bistatistic": list(sample[0])}
-    return None
-
-
 def check_fiber_intervals(n: int, d: int) -> dict | None:
     """Every ITC fiber is the triangle-containment interval between the
     two extremal words."""
@@ -463,7 +443,9 @@ _SHAPE_CHECKS = {
     "conjectures": [
         ("qt_cti_equals_itc", check_conjecture_cti_itc),
         ("qt_cti_equals_schroder", check_conjecture_cti_schroder),
-        ("bistatistic_bijection_exists", check_conjecture_bistatistic_bijection),
+        # a bijection preserving (height, wtopple) exists iff the two
+        # bistatistic multisets coincide, which is exactly f_cti == f_itc
+        ("bistatistic_bijection_exists", check_conjecture_cti_itc),
     ],
     "appendix": [
         ("fiber_intervals", check_fiber_intervals),

@@ -82,13 +82,23 @@ def test_area_worked_values():
     assert area(sts("UD")) == 1
 
 
+# both bounces of WORD_A visit these points: the CTI walk's first nw run is
+# empty, so it starts with the s run the ITC walk starts with
+PATH_A = (
+    (4, 5), (4, 4), (4, 3), (3, 4), (3, 3), (3, 2), (3, 1), (2, 2),
+    (2, 1), (1, 2), (1, 1), (1, 0), (0, 1), (0, 0),
+)
+
+
 def test_cti_bounce_worked_values():
     assert cti_bounce(sts(WORD_A)).sizes == (0, 2, 1, 2, 1, 0, 1, 1, 1, 0)
+    assert cti_bounce(sts(WORD_A)).path == PATH_A
     assert cti_bounce(sts("UD")).sizes == (1, 0)
 
 
 def test_itc_bounce_worked_values():
     assert itc_bounce(sts(WORD_A)).sizes == (2, 1, 2, 1, 0, 1, 1, 1)
+    assert itc_bounce(sts(WORD_A)).path == PATH_A
     # the configuration whose region drives the direct-bounce figure
     g = SplitGraph(5, 4)
     c = parse_config("7,6,6,5,4;5,5,4,3")

@@ -223,8 +223,8 @@ def test_count_ehkk_values():
 
 
 def test_count_totals_agree():
-    for n in range(1, 9):
-        for d in range(0, 7):
+    for n in range(1, 12):
+        for d in range(0, 10):
             grouped_total = sum(
                 count_itc(n, d, k) for k in range(1, n + 2)
             )
