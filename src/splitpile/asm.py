@@ -140,18 +140,18 @@ def config_from_json(obj: dict) -> tuple[SplitGraph, Config]:
 
 def is_sorted_config(config: Config) -> bool:
     """Weakly decreasing within the clique part and within the independent part."""
-    return all(x >= y for x, y in zip(config.clique, config.clique[1:])) and all(
-        x >= y for x, y in zip(config.independent, config.independent[1:])
-    )
+    a, b = config.clique, config.independent
+    return list(a) == sorted(a, reverse=True) and list(b) == sorted(b, reverse=True)
 
 
 def is_nonnegative(config: Config) -> bool:
-    return all(x >= 0 for x in config.key())
+    return min(config.key(), default=0) >= 0
 
 
 def is_stable(graph: SplitGraph, config: Config) -> bool:
-    return all(a < graph.clique_degree for a in config.clique) and all(
-        b < graph.indep_degree for b in config.independent
+    a, b = config.clique, config.independent
+    return (not a or max(a) < graph.clique_degree) and (
+        not b or max(b) < graph.indep_degree
     )
 
 
@@ -213,19 +213,16 @@ class StabilizationTrace:
     odometer: tuple[int, ...]
 
 
-def _topple_inplace(graph: SplitGraph, a: list[int], b: list[int], v: int) -> None:
-    n = graph.n
-    if v < n:
-        a[v] -= graph.clique_degree
-        for i in range(n):
-            if i != v:
-                a[i] += 1
-        for j in range(len(b)):
-            b[j] += 1
+def _topple_inplace(
+    graph: SplitGraph, a: list[int], b: list[int], v: int, times: int = 1
+) -> None:
+    """Topple vertex ``v`` ``times`` times in a row; it gets no grains from itself."""
+    a[:] = [x + times for x in a]
+    if v < graph.n:
+        a[v] -= times * (graph.clique_degree + 1)
+        b[:] = [x + times for x in b]
     else:
-        b[v - n] -= graph.indep_degree
-        for i in range(n):
-            a[i] += 1
+        b[v - graph.n] -= times * graph.indep_degree
 
 
 def _stabilize_raw(
@@ -233,8 +230,16 @@ def _stabilize_raw(
     config: Config,
     pick: Callable[[list[int]], int] | None = None,
 ) -> StabilizationTrace:
-    """Stabilize without the non-negativity precondition (operator framework use)."""
+    """Stabilize without the non-negativity precondition (operator framework use).
+
+    Without ``pick`` the first unstable vertex topples until it is stable,
+    ``x // deg`` times in one step; that is a legal toppling order, so by
+    the abelian property the final configuration and the odometer are
+    those of any other order.  With ``pick`` every step is one toppling of
+    the vertex it returns, which must be one of the unstable vertices.
+    """
     n, d = graph.n, graph.d
+    kdeg, ideg = graph.clique_degree, graph.indep_degree
     a = list(config.clique)
     b = list(config.independent)
     odometer = [0] * (n + d)
@@ -242,14 +247,23 @@ def _stabilize_raw(
     bound = (total + 1) * (n + d + 1) ** 2
     steps = 0
     while True:
-        unstable = [i for i in range(n) if a[i] >= graph.clique_degree]
-        unstable += [n + j for j in range(d) if b[j] >= graph.indep_degree]
+        unstable = [i for i, x in enumerate(a) if x >= kdeg]
+        unstable += [n + j for j, x in enumerate(b) if x >= ideg]
         if not unstable:
             break
-        v = unstable[0] if pick is None else pick(unstable)
-        _topple_inplace(graph, a, b, v)
-        odometer[v] += 1
-        steps += 1
+        if pick is None:
+            v = unstable[0]
+            times = a[v] // kdeg if v < n else b[v - n] // ideg
+        else:
+            v = pick(unstable)
+            if v not in unstable:
+                raise PreconditionError(
+                    f"pick returned vertex {v!r}, not one of the unstable vertices {unstable}"
+                )
+            times = 1
+        _topple_inplace(graph, a, b, v, times)
+        odometer[v] += times
+        steps += times
         if steps > bound:
             raise InternalError(f"stabilization exceeded {bound} topplings")
     return StabilizationTrace(Config(a, b), tuple(odometer) + (0,))
@@ -264,7 +278,9 @@ def stabilize(
 
     The abelian property guarantees the result does not depend on the
     toppling order; ``pick`` selects the next unstable vertex from the
-    candidate list and exists so tests can exercise different orders.
+    candidate list, which then topples once, and exists so tests can
+    exercise different orders.  A vertex outside the list is a
+    :class:`PreconditionError`.
     """
     _check_shape(graph, config)
     if not is_nonnegative(config):

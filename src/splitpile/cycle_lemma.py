@@ -19,6 +19,7 @@ from .asm import (
     InternalError,
     PreconditionError,
     SplitGraph,
+    _burn_sorted,
     _stabilize_raw,
     is_nonnegative,
     is_recurrent,
@@ -92,10 +93,17 @@ def _topple_max_then_sort(graph: SplitGraph, config: Config, component: str) -> 
 def apply(graph: SplitGraph, op: str, config: Config) -> Config:
     """Apply one operator to a sorted compact configuration.
 
-    Operators act by closed forms; every result is checked to be sorted
-    and compact again.
+    The input is checked to be sorted and compact; the operator acts by
+    its closed form and the result is checked to be sorted and compact
+    again.
     """
     _require_sorted_compact(graph, config)
+    return _step(graph, op, config)
+
+
+def _step(graph: SplitGraph, op: str, config: Config) -> Config:
+    """Closed form of one operator on a configuration already known to be
+    sorted and compact; the result is checked, so it can feed the next step."""
     n, d = graph.n, graph.d
     m = n + d + 1
     a = config.clique
@@ -128,9 +136,14 @@ def apply(graph: SplitGraph, op: str, config: Config) -> Config:
 
 
 def apply_word(graph: SplitGraph, ops, config: Config) -> Config:
-    """Apply a sequence of operators left to right."""
+    """Apply a sequence of operators left to right.
+
+    The input is validated once; each step's result check validates the
+    input of the next step.
+    """
+    _require_sorted_compact(graph, config)
     for op in ops:
-        config = apply(graph, op, config)
+        config = _step(graph, op, config)
     return config
 
 
@@ -176,10 +189,11 @@ def recurrent_representative(graph: SplitGraph, config: Config) -> Config:
     current = config
     bound = sum(abs(x) for x in config.key()) + (graph.n + graph.d + 2) ** 2 + 16
     for _ in range(bound):
+        # every iterate is sorted, so the counter-form burning test applies
         if (
             is_nonnegative(current)
             and is_stable(graph, current)
-            and is_recurrent(graph, current)
+            and _burn_sorted(graph, current.clique, current.independent) is not None
         ):
             return current
         bumped = Config(
@@ -220,18 +234,18 @@ def class_members(graph: SplitGraph, config: Config) -> list[Config]:
         raise PreconditionError("class_members requires a sorted recurrent configuration")
 
     states = [config]
-    current = apply(graph, TS, config)
+    current = _step(graph, TS, config)
     indep_budget = d
     for _ in range(n):
         while current.independent and current.independent[0] > n:
-            current = apply(graph, TI, current)
+            current = _step(graph, TI, current)
             indep_budget -= 1
         states.append(current)
         if current.clique[0] <= n + d - 1:
             raise InternalError("burning stalled: maximal clique vertex is stable")
-        current = apply(graph, TK, current)
+        current = _step(graph, TK, current)
     while current.independent and current.independent[0] > n:
-        current = apply(graph, TI, current)
+        current = _step(graph, TI, current)
         indep_budget -= 1
     if indep_budget != 0 or current != config:
         raise InternalError("burning decomposition did not close up")
@@ -240,9 +254,9 @@ def class_members(graph: SplitGraph, config: Config) -> list[Config]:
     for state in states:
         w = weight(graph, state)
         for _ in range(w):
-            state = apply(graph, TW, state)
+            state = _step(graph, TW, state)
         for _ in range(-w):
-            state = apply(graph, TW_INV, state)
+            state = _step(graph, TW_INV, state)
         if not (is_nonnegative(state) and is_quasistable(graph, state)):
             raise InternalError("weight normalization missed the quasi-stable window")
         members.append(state)

@@ -383,13 +383,16 @@ def hexagon_shuffle_gf(a: int, b: int, c: int) -> QtPolynomial:
         return total
 
     def inversions(word: str) -> int:
-        rank = {"D": 0, "H": 1, "U": 2}
-        inv = 0
-        seen = [0, 0, 0]
-        for ch in reversed(word):
-            r = rank[ch]
-            inv += sum(seen[:r])
-            seen[r] += 1
+        # a D follows every H and U seen so far, an H every U
+        inv = h = u = 0
+        for ch in word:
+            if ch == "D":
+                inv += h + u
+            elif ch == "H":
+                inv += u
+                h += 1
+            else:
+                u += 1
         return inv
 
     base = tri_under("D" * a + "H" * b + "U" * c)

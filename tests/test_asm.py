@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from splitpile.asm import (
     enumerate_sorted_recurrent,
     format_config,
     height,
+    is_nonnegative,
     is_recurrent,
     is_sorted_config,
     is_stable,
@@ -24,6 +26,7 @@ from splitpile.asm import (
     stabilize,
     topple,
     _enumerate_cached,
+    _stabilize_raw,
 )
 
 G22 = SplitGraph(2, 2)
@@ -267,6 +270,31 @@ def test_abelian_property(n, d, data):
     assert is_stable(g, base.final)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 4), st.data())
+def test_batched_stabilization_matches_single_topplings(n, d, data):
+    # negative entries are the operator framework's domain
+    g = SplitGraph(n, d)
+    entries = st.integers(-3 * (n + d), 4 * (n + d))
+    c = Config(
+        tuple(data.draw(entries) for _ in range(n)),
+        tuple(data.draw(entries) for _ in range(d)),
+    )
+    batched = _stabilize_raw(g, c)
+    single = _stabilize_raw(g, c, pick=lambda u: u[0])
+    assert batched.final == single.final
+    assert batched.odometer == single.odometer
+
+
+def test_stabilize_rejects_picked_vertex_outside_unstable_list():
+    g = SplitGraph(2, 1)
+    c = Config((3, 0), (0,))
+    with pytest.raises(PreconditionError, match="vertex 1"):
+        stabilize(g, c, pick=lambda u: 1)  # stable vertex
+    with pytest.raises(PreconditionError, match="vertex 99"):
+        stabilize(g, c, pick=lambda u: 99)  # no such vertex
+
+
 def test_stabilize_rejects_negative():
     with pytest.raises(PreconditionError):
         stabilize(G22, Config((-1, 0), (0, 0)))
@@ -276,3 +304,33 @@ def test_sorted_predicate():
     assert is_sorted_config(parse_config("3,3;2,1"))
     assert not is_sorted_config(parse_config("2,3;2,1"))
     assert not is_sorted_config(parse_config("3,3;1,2"))
+
+
+def test_predicates_match_pairwise_definitions():
+    def sorted_pairwise(c):
+        return all(x >= y for x, y in zip(c.clique, c.clique[1:])) and all(
+            x >= y for x, y in zip(c.independent, c.independent[1:])
+        )
+
+    def stable_pairwise(g, c):
+        return all(x < g.clique_degree for x in c.clique) and all(
+            y < g.indep_degree for y in c.independent
+        )
+
+    values = range(-2, 5)
+    for n, d in [(1, 0), (2, 0), (1, 1), (1, 2), (2, 2), (3, 1)]:
+        g = SplitGraph(n, d)
+        for a in itertools.product(values, repeat=n):
+            for b in itertools.product(values, repeat=d):
+                c = Config(a, b)
+                assert is_sorted_config(c) == sorted_pairwise(c)
+                assert is_nonnegative(c) == all(x >= 0 for x in a + b)
+                assert is_stable(g, c) == stable_pairwise(g, c)
+    # boundary values: equal entries, degrees exactly, one negative entry
+    g = SplitGraph(1, 0)
+    assert is_stable(g, Config((0,), ())) and not is_stable(g, Config((1,), ()))
+    assert is_sorted_config(Config((2, 2, 2), (1, 1)))
+    assert not is_nonnegative(Config((3, 3), (0, -1)))
+    assert is_stable(G22, Config((3, 3), (2, 2)))
+    assert not is_stable(G22, Config((3, 3), (3, 0)))
+    assert not is_stable(G22, Config((4, 0), (0, 0)))

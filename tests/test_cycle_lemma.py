@@ -3,8 +3,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import splitpile.cycle_lemma as cycle_lemma
 from splitpile.asm import (
     Config,
+    InternalError,
     PreconditionError,
     SplitGraph,
     enumerate_sorted_recurrent,
@@ -77,6 +79,37 @@ def test_apply_preconditions():
         apply(G22, "bogus", parse_config("3,3;2,2"))
     with pytest.raises(PreconditionError):
         apply(SplitGraph(2, 0), TI, Config((1, 1), ()))
+
+
+def test_apply_word_validates_each_configuration_once(monkeypatch):
+    calls = []
+    real = cycle_lemma.is_sorted_config
+
+    def counted(config):
+        calls.append(config)
+        return real(config)
+
+    monkeypatch.setattr(cycle_lemma, "is_sorted_config", counted)
+    c = parse_config("3,3;2,2")
+    for ops in ([], [TS], [TS, TK, TK, TI, TI], [TW, TW_INV, TK_INV, TI_INV]):
+        calls.clear()
+        apply_word(G22, ops, c)
+        assert len(calls) == 1 + len(ops)
+
+
+def test_apply_word_checks_input_and_results():
+    with pytest.raises(PreconditionError):
+        apply_word(G22, [], Config((0, 3), (0, 0)))  # unsorted, empty word
+    with pytest.raises(PreconditionError):
+        apply_word(G22, [TS], Config((9, 0), (0, 0)))  # not compact
+
+
+def test_apply_word_flags_out_of_set_result_inside_chain(monkeypatch):
+    # input check and first result pass; the second result is rejected
+    verdicts = iter([True, True, False])
+    monkeypatch.setattr(cycle_lemma, "is_compact", lambda graph, config: next(verdicts))
+    with pytest.raises(InternalError, match="TK left the sorted compact set"):
+        apply_word(G22, [TS, TK, TI], parse_config("3,3;2,2"))
 
 
 @settings(max_examples=120, deadline=None)
