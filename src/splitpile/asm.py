@@ -333,51 +333,70 @@ def _burn_sorted(
     return tuple(sizes)
 
 
-def is_recurrent(graph: SplitGraph, config: Config, with_witness: bool = False):
-    """Dhar's burning test for a stable configuration.
-
-    Returns a bool, or ``(bool, order)`` when ``with_witness`` is set;
-    the witness is a burning order (vertex indices, sink excluded) in
-    which each vertex becomes unstable given the previous topplings.
-    """
+def _require_stable(graph: SplitGraph, config: Config) -> None:
+    """The domain of the burning test: right shape, non-negative, stable."""
     _check_shape(graph, config)
     if not is_nonnegative(config):
         raise PreconditionError("recurrence test requires non-negative grain counts")
     if not is_stable(graph, config):
         raise PreconditionError("recurrence test requires a stable configuration")
+
+
+def _burn_rounds(
+    graph: SplitGraph, config: Config, clique_first: bool = True
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] | None:
+    """Burning test as rounds of parallel topplings after a sink toppling.
+
+    Each round topples every unstable vertex of the first class and then
+    every vertex of the second class that is unstable after that, each by
+    :func:`_topple_inplace`.  A vertex that has toppled cannot become
+    unstable again before all its neighbours have toppled once, so no
+    vertex topples twice.  Returns the rounds as pairs of index tuples
+    within the parts, (clique, independent) or (independent, clique), or
+    None if a round topples nothing before every vertex has toppled (not
+    recurrent).
+    """
     n, d = graph.n, graph.d
-
-    if is_sorted_config(config) and not with_witness:
-        return _burn_sorted(graph, config.clique, config.independent) is not None
-
-    # General form: simulate the burning, toppling each vertex at most once.
     a = [x + 1 for x in config.clique]
     b = [x + 1 for x in config.independent]
-    burnt = [False] * (n + d)
-    order: list[int] = []
-    progress = True
-    while progress:
-        progress = False
-        for v in range(n + d):
-            if burnt[v]:
-                continue
-            if v < n:
-                unstable = a[v] >= graph.clique_degree
-            else:
-                unstable = b[v - n] >= graph.indep_degree
-            if unstable:
-                _topple_inplace(graph, a, b, v)
-                burnt[v] = True
-                order.append(v)
-                progress = True
-    ok = all(burnt)
-    if ok:
-        # toppling the sink and then every vertex once returns the start
-        if tuple(a) != config.clique or tuple(b) != config.independent:
-            raise InternalError("burning did not return the initial configuration")
-    if with_witness:
-        return ok, tuple(order) if ok else None
-    return ok
+    classes = ((a, graph.clique_degree, 0), (b, graph.indep_degree, n))
+    rounds: list[tuple[tuple[int, ...], ...]] = []
+    toppled = 0
+    while toppled < n + d:
+        hot = []
+        for part, degree, offset in classes if clique_first else classes[::-1]:
+            hot.append(tuple(i for i, x in enumerate(part) if x >= degree))
+            for i in hot[-1]:
+                _topple_inplace(graph, a, b, offset + i)
+        count = len(hot[0]) + len(hot[1])
+        if not count:
+            return None
+        toppled += count
+        rounds.append(tuple(hot))
+    # toppling the sink and then every vertex once returns the start
+    if tuple(a) != config.clique or tuple(b) != config.independent:
+        raise InternalError("burning did not return the initial configuration")
+    return tuple(rounds)
+
+
+def is_recurrent(graph: SplitGraph, config: Config, with_witness: bool = False):
+    """Dhar's burning test for a stable configuration.
+
+    Returns a bool, or ``(bool, order)`` when ``with_witness`` is set;
+    the witness is a burning order (vertex indices, sink excluded) in
+    which each vertex becomes unstable given the previous topplings: the
+    clique-first rounds of :func:`_burn_rounds`, flattened.
+    """
+    _require_stable(graph, config)
+    if is_sorted_config(config) and not with_witness:
+        return _burn_sorted(graph, config.clique, config.independent) is not None
+    rounds = _burn_rounds(graph, config)
+    if not with_witness:
+        return rounds is not None
+    if rounds is None:
+        return False, None
+    n = graph.n
+    return True, tuple(v for clique, indep in rounds for v in clique + tuple(n + j for j in indep))
 
 
 # ---------------------------------------------------------------------------

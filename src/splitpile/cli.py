@@ -48,12 +48,6 @@ EXIT_CONJECTURE = 10
 
 
 def _jobs(args) -> int:
-    env = os.environ.get("SANDPILE_LAB_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise PreconditionError(f"SANDPILE_LAB_JOBS={env!r} is not an integer") from None
     if args.jobs is not None:
         return max(1, args.jobs)
     return os.cpu_count() or 1
@@ -302,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="splitpile",
         description="Sandpile combinatorics on complete split graphs.",
     )
-    parser.add_argument("--jobs", type=int, default=None, help="worker count (env SANDPILE_LAB_JOBS overrides)")
+    parser.add_argument("--jobs", type=int, default=None, help="worker count (default: CPU count)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="stream combinatorial objects in canonical order")

@@ -21,6 +21,7 @@ from .asm import (
     SplitGraph,
     _burn_sorted,
     _stabilize_raw,
+    _topple_inplace,
     is_nonnegative,
     is_recurrent,
     is_sorted_config,
@@ -79,14 +80,8 @@ def _topple_max_then_sort(graph: SplitGraph, config: Config, component: str) -> 
     if component == "s":
         a = [x + 1 for x in a]
         b = [x + 1 for x in b]
-    elif component == "K":
-        a[0] -= graph.n + graph.d
-        for i in range(1, graph.n):
-            a[i] += 1
-        b = [x + 1 for x in b]
     else:
-        b[0] -= graph.n + 1
-        a = [x + 1 for x in a]
+        _topple_inplace(graph, a, b, 0 if component == "K" else graph.n)
     return Config(tuple(sorted(a, reverse=True)), tuple(sorted(b, reverse=True)))
 
 

@@ -10,7 +10,14 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .asm import Config, InternalError, PreconditionError, SplitGraph, is_sorted_config
+from .asm import (
+    Config,
+    InternalError,
+    PreconditionError,
+    SplitGraph,
+    _check_shape,
+    is_sorted_config,
+)
 
 LETTERS = frozenset("UHD")
 
@@ -389,5 +396,6 @@ def compress(graph: SplitGraph, config: Config) -> Config:
     The result is a sorted recurrent configuration on S(n, 0), i.e. the
     complete graph on n+1 vertices.
     """
+    _check_shape(graph, config)
     word = phi_inv(config)
     return phi(collapse(word))

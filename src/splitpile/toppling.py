@@ -15,10 +15,11 @@ from typing import Iterator
 
 from .asm import (
     Config,
-    InternalError,
     PreconditionError,
     SplitGraph,
+    _burn_rounds,
     _burn_sorted,
+    _require_stable,
     is_nonnegative,
     is_recurrent,
     is_sorted_config,
@@ -61,49 +62,13 @@ def wtopple_of_sizes(sizes: tuple[int, ...]) -> int:
 
 
 def _run_parallel(graph: SplitGraph, config: Config, clique_first: bool) -> ToppleTrace:
-    n, d = graph.n, graph.d
     if not is_sorted_config(config):
         raise PreconditionError("parallel toppling requires a sorted configuration")
-    if not is_recurrent(graph, config):
+    _require_stable(graph, config)
+    rounds = _burn_rounds(graph, config, clique_first)
+    if rounds is None:
         raise PreconditionError("parallel toppling requires a recurrent configuration")
-    a = [x + 1 for x in config.clique]
-    b = [x + 1 for x in config.independent]
-
-    def topple_clique() -> tuple[int, ...]:
-        hot = tuple(i for i in range(n) if a[i] >= graph.clique_degree)
-        for i in hot:
-            a[i] -= graph.clique_degree
-        gain = len(hot)
-        for i in range(n):
-            a[i] += gain - (1 if i in hot else 0)
-        for j in range(d):
-            b[j] += gain
-        return hot
-
-    def topple_indep() -> tuple[int, ...]:
-        hot = tuple(j for j in range(d) if b[j] >= graph.indep_degree)
-        for j in hot:
-            b[j] -= graph.indep_degree
-        gain = len(hot)
-        for i in range(n):
-            a[i] += gain
-        return hot
-
-    rounds: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for _ in range(n + d + 1):
-        if clique_first:
-            first, second = topple_clique(), topple_indep()
-        else:
-            first, second = topple_indep(), topple_clique()
-        if not first and not second:
-            break
-        rounds.append((first, second))
-    else:
-        raise InternalError("parallel toppling did not settle; input not recurrent?")
-
-    if tuple(a) != config.clique or tuple(b) != config.independent:
-        raise InternalError("parallel toppling did not return the original configuration")
-    return ToppleTrace(CTI if clique_first else ITC, tuple(rounds))
+    return ToppleTrace(CTI if clique_first else ITC, rounds)
 
 
 def topple_cti(graph: SplitGraph, config: Config) -> ToppleTrace:
@@ -121,6 +86,7 @@ def _burn_sizes(graph: SplitGraph, config: Config, clique_first: bool) -> tuple[
     # configuration would give wrong sizes rather than fail
     if not is_sorted_config(config):
         raise PreconditionError("toppling sizes require a sorted configuration")
+    _require_stable(graph, config)
     sizes = _burn_sorted(graph, config.clique, config.independent, clique_first)
     if sizes is None:
         raise PreconditionError("configuration is not recurrent")

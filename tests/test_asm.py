@@ -147,19 +147,27 @@ def test_recurrence_against_exhaustive_table():
 
 
 def test_fast_and_general_burning_agree():
-    # the sorted counter path and the explicit simulation (witness path)
-    # must classify every sorted stable configuration identically
-    from splitpile.asm import weakly_decreasing_tuples
-
-    for n, d in [(2, 3), (3, 2)]:
+    # the sorted counter path and the round simulation (witness path)
+    # must classify every stable configuration identically, sorted or not,
+    # and the witness must be a legal burning order
+    for n, d in [(2, 2), (3, 1), (2, 3), (3, 2)]:
         g = SplitGraph(n, d)
-        for a in weakly_decreasing_tuples(n, g.clique_degree - 1):
-            for b in weakly_decreasing_tuples(d, g.indep_degree - 1):
+        for a in itertools.product(range(g.clique_degree), repeat=n):
+            for b in itertools.product(range(g.indep_degree), repeat=d):
                 c = Config(a, b)
-                fast = is_recurrent(g, c)
+                fast = is_recurrent(
+                    g, Config(sorted(a, reverse=True), sorted(b, reverse=True))
+                )
                 general, order = is_recurrent(g, c, with_witness=True)
-                assert fast == general
-                assert (order is not None) == general
+                assert general == fast
+                if not general:
+                    assert order is None
+                    continue
+                assert sorted(order) == list(range(n + d))
+                replay = topple(g, c, SINK)
+                for v in order:
+                    replay = topple(g, replay, v)  # refuses a stable vertex
+                assert replay == c
 
 
 def test_recurrent_witness():

@@ -396,10 +396,3 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "bogus-kind", "-n", "1", "-d", "0"])
     assert exc.value.code == 2
-
-
-def test_jobs_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("SANDPILE_LAB_JOBS", "1")
-    code, out, _ = run_cli(capsys, "--jobs", "4", "verify", "appendix", "--max-n", "1", "--max-d", "1")
-    assert code == 0
-    assert all(json.loads(l)["status"] == "pass" for l in out.strip().splitlines())

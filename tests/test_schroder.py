@@ -200,6 +200,8 @@ def test_compress():
     assert compress(g, parse_config("7,6,6,5,4;5,5,4,3")) == parse_config("4,4,4,3,3")
     g = SplitGraph(2, 2)
     assert compress(g, parse_config("3,3;2,2")) == parse_config("1,1")
+    with pytest.raises(PreconditionError):
+        compress(SplitGraph(3, 1), parse_config("3,3;2,2"))  # does not fit S(3,1)
     # no H letters: compression is the identity
     g30 = SplitGraph(3, 0)
     for c in enumerate_sorted_recurrent(g30):

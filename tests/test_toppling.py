@@ -75,6 +75,14 @@ def test_trace_preconditions():
             fn(G22, parse_config("2,2;1,1"))  # not recurrent
         with pytest.raises(PreconditionError):
             fn(G22, Config((2, 3), (2, 2)))  # unsorted
+        for bad in (
+            Config((3, 3), (2,)),  # too few independent vertices
+            parse_config("3,3;2,2,2"),  # too many independent vertices
+            parse_config("3,3,3;2,2"),  # too many clique vertices
+            parse_config("9,9;9,9"),  # unstable
+        ):
+            with pytest.raises(PreconditionError):
+                fn(G22, bad)
 
 
 def test_size_shortcuts_match_traces():
