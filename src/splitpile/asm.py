@@ -411,29 +411,48 @@ def weakly_decreasing_tuples(length: int, max_value: int) -> Iterator[tuple[int,
     yield from combinations_with_replacement(range(max_value, -1, -1), length)
 
 
+def iter_sorted_recurrent_groups(
+    graph: SplitGraph,
+) -> Iterator[tuple[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...]]]]]:
+    """Sorted recurrent configurations grouped by clique part.
+
+    For each weakly decreasing clique part ``a``, in descending lex order,
+    yields ``(a, rows)`` where ``rows`` lists the pairs ``(b, sizes)``, in
+    descending lex order of ``b``, of the independent parts that make a
+    recurrent configuration with ``a`` and the CTI block sizes of its
+    burning test.  Clique parts without such a ``b`` are skipped, so no
+    group is empty.  This is the one loop over sorted stable candidates:
+    the independent parts are built once per shape and every candidate
+    gets one counter-form burning test.
+    """
+    indep = tuple(weakly_decreasing_tuples(graph.d, graph.indep_degree - 1))
+    for a in weakly_decreasing_tuples(graph.n, graph.clique_degree - 1):
+        rows = [(b, sizes) for b in indep if (sizes := _burn_sorted(graph, a, b)) is not None]
+        if rows:
+            yield a, rows
+
+
 def iter_sorted_recurrent_sizes(graph: SplitGraph) -> Iterator[tuple[Config, tuple[int, ...]]]:
     """Pairs (configuration, CTI block sizes) in the order of :func:`iter_sorted_recurrent`.
 
     The block sizes are those of the burning test that admitted the
     configuration, so a caller that needs both burns each candidate once.
     """
-    indep = tuple(weakly_decreasing_tuples(graph.d, graph.indep_degree - 1))
-    for a in weakly_decreasing_tuples(graph.n, graph.clique_degree - 1):
-        for b in indep:
-            sizes = _burn_sorted(graph, a, b, clique_first=True)
-            if sizes is not None:
-                yield Config(a, b), sizes
+    for a, rows in iter_sorted_recurrent_groups(graph):
+        for b, sizes in rows:
+            yield Config(a, b), sizes
 
 
 def iter_sorted_recurrent(graph: SplitGraph) -> Iterator[Config]:
     """Sorted recurrent configurations, lexicographically decreasing, one at a time.
 
-    Every sorted stable candidate gets one counter-form burning test and
-    only those that burn become a :class:`Config`; nothing is cached, so
-    memory does not grow with the count.
+    The flattened groups of :func:`iter_sorted_recurrent_groups`: only
+    candidates that burn become a :class:`Config`, and nothing is cached,
+    so memory grows with one group, not with the count.
     """
-    for config, _ in iter_sorted_recurrent_sizes(graph):
-        yield config
+    for a, rows in iter_sorted_recurrent_groups(graph):
+        for b, _ in rows:
+            yield Config(a, b)
 
 
 def _enumerate_phi(graph: SplitGraph) -> list[Config]:

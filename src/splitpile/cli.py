@@ -34,9 +34,10 @@ from .asm import (
     is_recurrent,
     is_sorted_config,
     iter_sorted_recurrent,
-    iter_sorted_recurrent_sizes,
+    iter_sorted_recurrent_groups,
     level,
     parse_config,
+    weakly_decreasing_tuples,
 )
 
 EXIT_OK = 0
@@ -69,32 +70,61 @@ def cmd_enumerate(args) -> int:
             out.write(text_form + "\n")
 
     if args.kind == "recurrent":
-        if fmt == "csv":
-            # CTI block sizes are the burning counter form, not a simulation
-            out.write("config,height,topple_cti,wtopple_cti\n")
-            for c, sizes in iter_sorted_recurrent_sizes(graph):
-                text = " ".join(map(str, sizes))
-                out.write(f'"{format_config(c)}",{height(c)},"{text}",{tp.wtopple_of_sizes(sizes)}\n')
-            return EXIT_OK
-        for c in iter_sorted_recurrent(graph):
-            emit(format_config(c), config_to_json(graph, c))
+        if fmt == "json":
+            for c in iter_sorted_recurrent(graph):
+                emit(format_config(c), config_to_json(graph, c))
+        else:
+            _write_recurrent_rows(graph, fmt == "csv", out)
     elif args.kind == "words":
         for w in sc.enumerate_schroder(args.n, args.d):
             emit(w, {"word": w})
     elif args.kind == "polyominoes":
         for c in iter_sorted_recurrent(graph):
-            p = po.from_config(graph, c)
+            p = po._from_sorted_recurrent(graph, c)  # the enumerator has burnt c
             emit(f"{format_config(c)} upper={p.upper} lower={p.lower}", p.to_json())
     elif args.kind == "itc-sequences":
         for seq in tp.all_itc_sequences(args.n, args.d):
             text = f"[{list(seq.b)},{list(seq.a)}]".replace(" ", "")
             emit(text, {"b": list(seq.b), "a": list(seq.a)})
     elif args.kind == "quasistable":
-        for c in cl.enumerate_quasistable_nonneg(graph):
+        for c in cl.iter_quasistable_nonneg(graph):
             emit(format_config(c), config_to_json(graph, c))
     else:  # pragma: no cover - argparse restricts choices
         raise PreconditionError(f"unknown kind {args.kind}")
     return EXIT_OK
+
+
+def _write_recurrent_rows(graph: SplitGraph, csv: bool, out) -> None:
+    """Text or CSV rows of ``enumerate recurrent``, one write per clique-part group.
+
+    A row is a clique prefix, an independent suffix and, in CSV, a tail
+    of block sizes and wtopple.  Each piece repeats across rows, so each
+    is built once: the suffixes (text and grain sum) per shape, the
+    prefix per group, and the tail per distinct block-size tuple.  The
+    CTI block sizes are the burning counter form, not a simulation.
+    """
+    suffixes = {
+        b: (";" + ",".join(map(str, b)) if b else "", sum(b))
+        for b in weakly_decreasing_tuples(graph.d, graph.indep_degree - 1)
+    }
+    if not csv:
+        for a, rows in iter_sorted_recurrent_groups(graph):
+            prefix = ",".join(map(str, a))
+            out.write("".join([prefix + suffixes[b][0] + "\n" for b, _ in rows]))
+        return
+    out.write("config,height,topple_cti,wtopple_cti\n")
+    tails: dict[tuple[int, ...], str] = {}
+    for a, rows in iter_sorted_recurrent_groups(graph):
+        prefix, grains = '"' + ",".join(map(str, a)), sum(a)
+        lines = []
+        for b, sizes in rows:
+            tail = tails.get(sizes)
+            if tail is None:
+                text = " ".join(map(str, sizes))
+                tail = tails[sizes] = f'"{text}",{tp.wtopple_of_sizes(sizes)}\n'
+            suffix, b_grains = suffixes[b]
+            lines.append(f'{prefix}{suffix}",{grains + b_grains},{tail}')
+        out.write("".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +294,7 @@ def cmd_render(args) -> int:
         written = 0
         for idx, c in enumerate(iter_sorted_recurrent(graph), start=1):
             name = format_config(c).replace(",", "_").replace(";", "__")
-            doc = svg.render_polyomino(po.from_config(graph, c), overlays=overlays)
+            doc = svg.render_polyomino(po._from_sorted_recurrent(graph, c), overlays=overlays)
             (directory / f"rec_{idx:03d}_{name}.svg").write_text(doc, encoding="utf-8")
             written += 1
         sys.stderr.write(f"wrote {written} files to {directory}\n")

@@ -13,6 +13,7 @@ sorted recurrent configurations.
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 from .asm import (
     Config,
@@ -163,14 +164,19 @@ def count_quasistable_nonneg(n: int, d: int) -> int:
     return math.comb(2 * n + d, n) * math.comb(n + d, n)
 
 
-def enumerate_quasistable_nonneg(graph: SplitGraph) -> list[Config]:
+def iter_quasistable_nonneg(graph: SplitGraph) -> Iterator[Config]:
     """Sorted configurations with clique entries in [0, n+d] and
-    independent entries in [0, n], lexicographically decreasing."""
-    out = []
+    independent entries in [0, n], lexicographically decreasing, one at
+    a time."""
+    indep = tuple(weakly_decreasing_tuples(graph.d, graph.n))
     for a in weakly_decreasing_tuples(graph.n, graph.n + graph.d):
-        for b in weakly_decreasing_tuples(graph.d, graph.n):
-            out.append(Config(a, b))
-    return out
+        for b in indep:
+            yield Config(a, b)
+
+
+def enumerate_quasistable_nonneg(graph: SplitGraph) -> list[Config]:
+    """All of :func:`iter_quasistable_nonneg` as a list."""
+    return list(iter_quasistable_nonneg(graph))
 
 
 def recurrent_representative(graph: SplitGraph, config: Config) -> Config:

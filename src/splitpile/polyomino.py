@@ -119,17 +119,28 @@ def is_valid(poly: SawtoothPolyomino) -> bool:
 def from_config(graph: SplitGraph, config: Config) -> SawtoothPolyomino:
     """Map a sorted recurrent configuration directly to its polyomino.
 
-    The lower path drops one s step per independent vertex at abscissa
-    1 + grains; the upper path drops one nw step per clique vertex at a
-    height measured from the staircase.  The verify suite and the tests
-    compare the result with the word route sts(phi_inv(c)).
+    The input is checked to fit the graph and to be sorted and
+    recurrent; the paths are then walked by :func:`_from_sorted_recurrent`.
+    The verify suite and the tests compare the result with the word route
+    sts(phi_inv(c)).
     """
-    n, d = graph.n, graph.d
-    a, b = config.clique, config.independent
-    if len(a) != n or len(b) != d:
+    if len(config.clique) != graph.n or len(config.independent) != graph.d:
         raise PreconditionError("configuration does not fit the graph")
     if not (is_sorted_config(config) and is_recurrent(graph, config)):
         raise PreconditionError(f"{config} is not a sorted recurrent configuration")
+    return _from_sorted_recurrent(graph, config)
+
+
+def _from_sorted_recurrent(graph: SplitGraph, config: Config) -> SawtoothPolyomino:
+    """Path walk of :func:`from_config` for a configuration already known
+    to be sorted recurrent on ``graph``.
+
+    The lower path drops one s step per independent vertex at abscissa
+    1 + grains; the upper path drops one nw step per clique vertex at a
+    height measured from the staircase.
+    """
+    n, d = graph.n, graph.d
+    a, b = config.clique, config.independent
 
     # walk the upper path top-down: (n+1,d) -nw-> (n,d+1), then per column
     upper = ["N"]

@@ -19,6 +19,7 @@ from splitpile.asm import (
     is_sorted_config,
     is_stable,
     iter_sorted_recurrent,
+    iter_sorted_recurrent_groups,
     iter_sorted_recurrent_sizes,
     level,
     parse_config,
@@ -230,6 +231,19 @@ def test_streamed_sizes_are_the_cti_sizes():
             pairs = list(iter_sorted_recurrent_sizes(g))
             assert [c for c, _ in pairs] == list(iter_sorted_recurrent(g))
             assert all(sizes == cti_sizes(g, c) for c, sizes in pairs)
+
+
+def test_flattened_groups_are_the_enumeration():
+    for n in range(1, 6):
+        for d in range(0, 5):
+            g = SplitGraph(n, d)
+            groups = list(iter_sorted_recurrent_groups(g))
+            assert all(rows for _, rows in groups)
+            clique_parts = [a for a, _ in groups]
+            assert all(x > y for x, y in zip(clique_parts, clique_parts[1:]))
+            flat = [(Config(a, b), sizes) for a, rows in groups for b, sizes in rows]
+            assert flat == list(iter_sorted_recurrent_sizes(g))
+            assert [c for c, _ in flat] == list(iter_sorted_recurrent(g))
 
 
 def test_streaming_first_config_without_building_the_set():

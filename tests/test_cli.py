@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from splitpile import asm
 from splitpile.asm import (
     InternalError,
     SplitGraph,
+    _burn_sorted,
     _enumerate_cached,
     enumerate_sorted_recurrent,
     format_config,
@@ -49,7 +51,7 @@ def test_enumerate_recurrent_csv(capsys):
 def test_enumerate_csv_matches_cti_simulation(capsys):
     # the CSV takes block sizes from the burning counter form; the full
     # parallel-toppling simulation must give the same rows
-    for n, d in [(3, 2), (4, 3)]:
+    for n, d in [(1, 0), (1, 3), (2, 0), (3, 2), (4, 0), (4, 3), (5, 1)]:
         g = SplitGraph(n, d)
         code, out, _ = run_cli(capsys, "enumerate", "recurrent", "-n", str(n), "-d", str(d), "--format", "csv")
         assert code == 0
@@ -59,6 +61,29 @@ def test_enumerate_csv_matches_cti_simulation(capsys):
             sizes = " ".join(str(x) for x in trace.sizes())
             expected.append(f'"{format_config(c)}",{height(c)},"{sizes}",{wtopple(trace)}')
         assert out.splitlines() == expected
+
+
+def test_enumerate_text_is_format_config_per_row(capsys):
+    for n, d in [(1, 0), (1, 2), (3, 0), (3, 2), (4, 3)]:
+        code, out, _ = run_cli(capsys, "enumerate", "recurrent", "-n", str(n), "-d", str(d))
+        assert code == 0
+        assert out.splitlines() == [format_config(c) for c in enumerate_sorted_recurrent(SplitGraph(n, d))]
+
+
+def test_enumerate_polyominoes_burns_each_candidate_once(capsys, monkeypatch):
+    # S(3,2) has 350 sorted stable candidates and 140 recurrent ones; the
+    # polyomino walk must not burn an enumerated configuration again
+    burns = []
+
+    def counted_burn(*args, **kwargs):
+        burns.append(args)
+        return _burn_sorted(*args, **kwargs)
+
+    monkeypatch.setattr(asm, "_burn_sorted", counted_burn)
+    code, out, _ = run_cli(capsys, "enumerate", "polyominoes", "-n", "3", "-d", "2")
+    assert code == 0
+    assert len(out.splitlines()) == 140
+    assert len(burns) == 350
 
 
 @pytest.mark.parametrize(
@@ -90,19 +115,18 @@ def _child_env() -> dict:
     return env
 
 
-def test_enumerate_streams_first_rows_and_survives_closed_pipe():
-    # S(8,5) has 29,099,070 rows; reading the first 2,000 and closing the
-    # pipe must end the command cleanly
+def _read_then_close(argv, count):
+    """Run the CLI in a child under the memory limit, read ``count`` lines,
+    close the pipe; returns the lines, the exit code and stderr."""
     proc = subprocess.Popen(
-        [sys.executable, "-m", "splitpile.cli", "enumerate", "recurrent", "-n", "8", "-d", "5",
-         "--format", "csv"],
+        [sys.executable, "-m", "splitpile.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=_limit_memory,
         env=_child_env(),
     )
     watchdog = threading.Timer(30, proc.kill)
     watchdog.start()
     try:
-        lines = [proc.stdout.readline() for _ in range(2000)]
+        lines = [proc.stdout.readline() for _ in range(count)]
         proc.stdout.close()
         code = proc.wait(timeout=30)
         err = proc.stderr.read().decode()
@@ -111,9 +135,27 @@ def test_enumerate_streams_first_rows_and_survives_closed_pipe():
         proc.kill()
         proc.wait()
         proc.stderr.close()
+    return lines, code, err
+
+
+def test_enumerate_streams_first_rows_and_survives_closed_pipe():
+    # S(8,5) has 29,099,070 rows; reading the first 2,000 and closing the
+    # pipe must end the command cleanly
+    lines, code, err = _read_then_close(
+        ["enumerate", "recurrent", "-n", "8", "-d", "5", "--format", "csv"], 2000
+    )
     assert lines[0] == b"config,height,topple_cti,wtopple_cti\n"
     assert lines[1] == b'"12,12,12,12,12,12,12,12;8,8,8,8,8",136,"8 5",13\n'
     assert all(line.endswith(b"\n") for line in lines)
+    assert code == 0
+    assert err == ""
+
+
+def test_enumerate_quasistable_streams_and_survives_closed_pipe():
+    # S(8,5) has 261,891,630 sorted quasi-stable configurations, far more
+    # than a list of them fits in the address-space limit
+    lines, code, err = _read_then_close(["enumerate", "quasistable", "-n", "8", "-d", "5"], 2)
+    assert lines == [b"13,13,13,13,13,13,13,13;8,8,8,8,8\n", b"13,13,13,13,13,13,13,13;8,8,8,8,7\n"]
     assert code == 0
     assert err == ""
 
