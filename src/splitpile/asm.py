@@ -129,8 +129,7 @@ def config_to_json(graph: SplitGraph, config: Config) -> dict:
 def config_from_json(obj: dict) -> tuple[SplitGraph, Config]:
     graph = SplitGraph(int(obj["n"]), int(obj["d"]))
     config = Config(tuple(obj["clique"]), tuple(obj["independent"]))
-    if len(config.clique) != graph.n or len(config.independent) != graph.d:
-        raise PreconditionError("configuration length does not match (n, d)")
+    _check_shape(graph, config)
     return graph, config
 
 
@@ -430,17 +429,6 @@ def iter_sorted_recurrent_groups(
         rows = [(b, sizes) for b in indep if (sizes := _burn_sorted(graph, a, b)) is not None]
         if rows:
             yield a, rows
-
-
-def iter_sorted_recurrent_sizes(graph: SplitGraph) -> Iterator[tuple[Config, tuple[int, ...]]]:
-    """Pairs (configuration, CTI block sizes) in the order of :func:`iter_sorted_recurrent`.
-
-    The block sizes are those of the burning test that admitted the
-    configuration, so a caller that needs both burns each candidate once.
-    """
-    for a, rows in iter_sorted_recurrent_groups(graph):
-        for b, sizes in rows:
-            yield Config(a, b), sizes
 
 
 def iter_sorted_recurrent(graph: SplitGraph) -> Iterator[Config]:

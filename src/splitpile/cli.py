@@ -28,6 +28,7 @@ from .asm import (
     InternalError,
     PreconditionError,
     SplitGraph,
+    _check_shape,
     config_to_json,
     format_config,
     height,
@@ -191,8 +192,7 @@ def cmd_stats(args) -> int:
             raise PreconditionError("stats needs --word or a config with -n and -d")
         graph = SplitGraph(args.n, args.d)
         config = parse_config(args.config)
-        if len(config.clique) != graph.n or len(config.independent) != graph.d:
-            raise PreconditionError("configuration does not match -n/-d")
+        _check_shape(graph, config)
         payload = _config_stats(graph, config)
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     return EXIT_OK

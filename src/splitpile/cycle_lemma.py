@@ -21,6 +21,7 @@ from .asm import (
     PreconditionError,
     SplitGraph,
     _burn_sorted,
+    _check_shape,
     _stabilize_raw,
     _topple_inplace,
     is_nonnegative,
@@ -64,8 +65,7 @@ def weight(graph: SplitGraph, config: Config) -> int:
 
 
 def _require_sorted_compact(graph: SplitGraph, config: Config) -> None:
-    if len(config.clique) != graph.n or len(config.independent) != graph.d:
-        raise PreconditionError("configuration does not fit the graph")
+    _check_shape(graph, config)
     if not is_sorted_config(config):
         raise PreconditionError("operators act on sorted configurations")
     if not is_compact(graph, config):

@@ -18,6 +18,7 @@ from .asm import (
     InternalError,
     PreconditionError,
     SplitGraph,
+    _check_shape,
     is_recurrent,
     is_sorted_config,
 )
@@ -124,8 +125,7 @@ def from_config(graph: SplitGraph, config: Config) -> SawtoothPolyomino:
     The verify suite and the tests compare the result with the word route
     sts(phi_inv(c)).
     """
-    if len(config.clique) != graph.n or len(config.independent) != graph.d:
-        raise PreconditionError("configuration does not fit the graph")
+    _check_shape(graph, config)
     if not (is_sorted_config(config) and is_recurrent(graph, config)):
         raise PreconditionError(f"{config} is not a sorted recurrent configuration")
     return _from_sorted_recurrent(graph, config)

@@ -278,35 +278,7 @@ def dyck_bounce(dyck: str) -> tuple[int, list[tuple[int, int]]]:
     """
     if set(dyck) - {"U", "D"} or not is_schroder(dyck):
         raise PreconditionError(f"{dyck!r} is not a Dyck word")
-    return _dyck_bounce(dyck)
-
-
-def _dyck_bounce(dyck: str) -> tuple[int, list[tuple[int, int]]]:
-    n = dyck.count("U")
-    # x_of[y] = x-coordinate where the path first reaches height y
-    x_of = [0] * (n + 1)
-    ds = 0
-    ys = 0
-    for ch in dyck:
-        if ch == "U":
-            ys += 1
-            x_of[ys] = ds
-        else:
-            ds += 1
-    total = 0
-    peaks: list[tuple[int, int]] = []
-    y = n
-    while y > 0:
-        x = x_of[y]
-        peaks.append((x, y))
-        total += x
-        y = x
-    return total, peaks
-
-
-def _u_step_tops(word: str) -> list[tuple[int, int]]:
-    """Top endpoint of each U step, in word order."""
-    return [p for ch, p in zip(word, lattice_points(word)[1:]) if ch == "U"]
+    return _schroder_peaks(dyck, lattice_points(dyck))
 
 
 def schroder_peaks(word: str) -> list[tuple[int, int]]:
@@ -316,29 +288,46 @@ def schroder_peaks(word: str) -> list[tuple[int, int]]:
     U steps of the uncollapsed word carry the Schroder peaks.
     """
     _require_schroder(word)
-    return _schroder_peaks(word)[1]
+    return _schroder_peaks(word, lattice_points(word))[1]
 
 
-def _schroder_peaks(word: str) -> tuple[int, list[tuple[int, int]]]:
-    """The bounce of the collapse and the Schroder peaks of a valid word."""
-    base, dyck_peaks = _dyck_bounce(word.replace("H", ""))
-    tops = _u_step_tops(word)
-    return base, [tops[y - 1] for _, y in dyck_peaks]
+def _schroder_peaks(
+    word: str, points: list[tuple[int, int]]
+) -> tuple[int, list[tuple[int, int]]]:
+    """The bounce of the collapse and the Schroder peaks of a valid word.
+
+    ``points`` is ``lattice_points(word)``.  The j-th U step tops out at
+    (x, y) after y - j H's, so x - y + j D's precede it: that is its
+    abscissa in the collapse, and the collapse's bounce path falls from
+    height j to that height.  On a word without H this is the classical
+    Dyck bounce.
+    """
+    tops = [p for ch, p in zip(word, points[1:]) if ch == "U"]
+    base = 0
+    peaks: list[tuple[int, int]] = []
+    j = len(tops)
+    while j:
+        x, y = peak = tops[j - 1]
+        peaks.append(peak)
+        j += x - y
+        base += j
+    return base, peaks
 
 
 def bounce_haglund(word: str) -> int:
     """bounce of the collapse plus, for every H step, the peaks above it."""
     _require_schroder(word)
-    base, peaks = _schroder_peaks(word)
+    points = lattice_points(word)
+    base, peaks = _schroder_peaks(word, points)
     return base + sum(
-        py > y for ch, (_, y) in zip(word, lattice_points(word)) if ch == "H" for _, py in peaks
+        py > y for ch, (_, y) in zip(word, points) if ch == "H" for _, py in peaks
     )
 
 
 def bounce_loehr(word: str) -> int:
     """Sum over peaks of the first-quadrant squares to their left in the same row."""
     _require_schroder(word)
-    return sum(px for px, _ in _schroder_peaks(word)[1])
+    return sum(px for px, _ in _schroder_peaks(word, lattice_points(word))[1])
 
 
 def schroder_bounce(word: str) -> int:
@@ -360,9 +349,10 @@ def schroder_bounce_path(word: str) -> list[tuple[int, int]]:
     """
     _require_schroder(word)
     size = word.count("U") + word.count("H")
+    path = lattice_points(word)
     # upper band edge of the H starting at (a, b) is the line x + y = a + b + 2
-    band_edges = {x + y + 2 for ch, (x, y) in zip(word, lattice_points(word)) if ch == "H"}
-    u_tops = set(_u_step_tops(word))
+    band_edges = {x + y + 2 for ch, (x, y) in zip(word, path) if ch == "H"}
+    u_tops = {p for ch, p in zip(word, path[1:]) if ch == "U"}
     pos = (size, size)
     points = [pos]
     heading_west = True

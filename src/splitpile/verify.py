@@ -217,10 +217,10 @@ def check_identity_chain(n: int, d: int) -> dict | None:
     return None
 
 
-def check_abelian(n: int, d: int, cases: int = 200, seed: int = 20240) -> dict | None:
+def check_abelian(n: int, d: int) -> dict | None:
     graph = SplitGraph(n, d)
-    rng = random.Random(hash((seed, n, d)))
-    for _ in range(cases):
+    rng = random.Random(hash((20240, n, d)))
+    for _ in range(200):
         c = Config(
             tuple(rng.randint(0, 2 * (n + d)) for _ in range(n)),
             tuple(rng.randint(0, 2 * (n + d)) for _ in range(d)),
@@ -274,15 +274,15 @@ def check_cycle_lemma(n: int, d: int) -> dict | None:
     return None
 
 
-def check_operator_laws(n: int, d: int, cases: int = 100, seed: int = 77) -> dict | None:
+def check_operator_laws(n: int, d: int) -> dict | None:
     graph = SplitGraph(n, d)
-    rng = random.Random(hash((seed, n, d)))
+    rng = random.Random(hash((77, n, d)))
     pairs = [(cl.TS, cl.TS_INV), (cl.TK, cl.TK_INV), (cl.TW, cl.TW_INV)]
     forms = [(cl.TS, "s"), (cl.TK, "K")]
     if d > 0:
         pairs.append((cl.TI, cl.TI_INV))
         forms.append((cl.TI, "I"))
-    for _ in range(cases):
+    for _ in range(100):
         lo = rng.randint(-5, 5)
         a = tuple(sorted((rng.randint(lo, lo + n + d + 1) for _ in range(n)), reverse=True))
         lo2 = rng.randint(-5, 5)
@@ -305,10 +305,10 @@ def check_operator_laws(n: int, d: int, cases: int = 100, seed: int = 77) -> dic
     return None
 
 
-def check_weight_laws(n: int, d: int, cases: int = 100, seed: int = 78) -> dict | None:
+def check_weight_laws(n: int, d: int) -> dict | None:
     graph = SplitGraph(n, d)
-    rng = random.Random(hash((seed, n, d)))
-    for _ in range(cases):
+    rng = random.Random(hash((78, n, d)))
+    for _ in range(100):
         lo = rng.randint(-2 * (n + d + 1), n + d)
         a = tuple(sorted((rng.randint(lo, lo + n + d + 1) for _ in range(n)), reverse=True))
         lo2 = rng.randint(-4, 4)

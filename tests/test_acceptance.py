@@ -278,11 +278,11 @@ def test_criterion_12_property_suites():
     def body():
         for n in range(1, 5):
             for d in range(0, 4):
-                assert check_abelian(n, d, cases=200) is None, (n, d)
+                assert check_abelian(n, d) is None, (n, d)
                 assert check_phi_roundtrip(n, d) is None, (n, d)
                 assert check_mirror_involution(n, d) is None, (n, d)
-                assert check_operator_laws(n, d, cases=100) is None, (n, d)
-                assert check_weight_laws(n, d, cases=100) is None, (n, d)
+                assert check_operator_laws(n, d) is None, (n, d)
+                assert check_weight_laws(n, d) is None, (n, d)
         # both bounce computations, swept beyond the identity range
         for n, d in [(6, 0), (6, 1), (5, 5), (6, 5)]:
             for w in sc.enumerate_schroder(n, d):

@@ -20,7 +20,6 @@ from splitpile.asm import (
     is_stable,
     iter_sorted_recurrent,
     iter_sorted_recurrent_groups,
-    iter_sorted_recurrent_sizes,
     level,
     parse_config,
     sorted_recurrent_count,
@@ -90,6 +89,22 @@ def test_json_roundtrip():
     assert config_from_json(obj) == (G22, c)
     with pytest.raises(PreconditionError):
         config_from_json({"n": 2, "d": 2, "clique": [3], "independent": [2, 2]})
+
+
+def test_entry_points_share_the_shape_check(capsys):
+    from splitpile import cycle_lemma, polyomino
+    from splitpile.cli import main
+
+    short = parse_config("3;2,2")  # one clique vertex short of S(2,2)
+    for call in (
+        lambda: polyomino.from_config(G22, short),
+        lambda: cycle_lemma.apply(G22, cycle_lemma.TS, short),
+        lambda: config_from_json({"n": 2, "d": 2, "clique": [3], "independent": [2, 2]}),
+    ):
+        with pytest.raises(PreconditionError, match=r"does not fit S\(2,2\)"):
+            call()
+    assert main(["stats", "3;2,2", "-n", "2", "-d", "2"]) == 3
+    assert "configuration 3;2,2 does not fit S(2,2)" in capsys.readouterr().err
 
 
 def test_degrees():
@@ -228,7 +243,8 @@ def test_streamed_sizes_are_the_cti_sizes():
     for n in range(1, 5):
         for d in range(0, 4):
             g = SplitGraph(n, d)
-            pairs = list(iter_sorted_recurrent_sizes(g))
+            groups = iter_sorted_recurrent_groups(g)
+            pairs = [(Config(a, b), sizes) for a, rows in groups for b, sizes in rows]
             assert [c for c, _ in pairs] == list(iter_sorted_recurrent(g))
             assert all(sizes == cti_sizes(g, c) for c, sizes in pairs)
 
@@ -242,7 +258,6 @@ def test_flattened_groups_are_the_enumeration():
             clique_parts = [a for a, _ in groups]
             assert all(x > y for x, y in zip(clique_parts, clique_parts[1:]))
             flat = [(Config(a, b), sizes) for a, rows in groups for b, sizes in rows]
-            assert flat == list(iter_sorted_recurrent_sizes(g))
             assert [c for c, _ in flat] == list(iter_sorted_recurrent(g))
 
 

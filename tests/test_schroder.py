@@ -121,6 +121,33 @@ def test_dyck_bounce():
     assert dyck_bounce("UDUD")[0] == 1
 
 
+def test_dyck_bounce_matches_bounce_path_walk():
+    # walk the classical bounce path point by point: from (n, n) west to
+    # the top of a U step, then south to the diagonal, until the origin
+    for n in range(0, 8):
+        for w in enumerate_schroder(n, 0):
+            pts = lattice_points(w)
+            u_tops = {p for ch, p in zip(w, pts[1:]) if ch == "U"}
+            x = y = n
+            total, peaks = 0, []
+            while (x, y) != (0, 0):
+                while (x, y) not in u_tops:
+                    x -= 1
+                peaks.append((x, y))
+                while y > x:
+                    y -= 1
+                total += x
+            assert dyck_bounce(w) == (total, peaks), w
+    # the Schroder peaks are the U steps that carry the collapse's peaks
+    for size in range(0, 8):
+        for n in range(0, size + 1):
+            for w in enumerate_schroder(n, size - n):
+                pts = lattice_points(w)
+                tops = [p for ch, p in zip(w, pts[1:]) if ch == "U"]
+                expected = [tops[y - 1] for _, y in dyck_bounce(collapse(w))[1]]
+                assert schroder_peaks(w) == expected, w
+
+
 def test_peaks_and_bounce_worked_examples():
     assert schroder_peaks(W53) == [(6, 8), (2, 4), (0, 1)]
     assert bounce_haglund(W53) == 8 == bounce_loehr(W53)
