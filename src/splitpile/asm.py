@@ -341,6 +341,25 @@ def _require_stable(graph: SplitGraph, config: Config) -> None:
         raise PreconditionError("recurrence test requires a stable configuration")
 
 
+def _require_sorted_recurrent(
+    graph: SplitGraph, config: Config, clique_first: bool = True
+) -> tuple[int, ...]:
+    """The one test of the domain of the parallel toppling processes,
+    the polyomino map and the cycle-lemma classes: right shape,
+    non-negative, stable, sorted and recurrent, each fault with one
+    message.  Returns the block sizes of the counter-form burn, clique
+    first or independent first."""
+    _require_stable(graph, config)
+    if not is_sorted_config(config):
+        raise PreconditionError(
+            f"{config} is not sorted: it needs weakly decreasing clique and independent parts"
+        )
+    sizes = _burn_sorted(graph, config.clique, config.independent, clique_first)
+    if sizes is None:
+        raise PreconditionError(f"{config} is not recurrent")
+    return sizes
+
+
 def _burn_rounds(
     graph: SplitGraph, config: Config, clique_first: bool = True
 ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] | None:
@@ -404,10 +423,7 @@ def is_recurrent(graph: SplitGraph, config: Config, with_witness: bool = False):
 
 def weakly_decreasing_tuples(length: int, max_value: int) -> Iterator[tuple[int, ...]]:
     """All weakly decreasing tuples over 0..max_value, in descending lex order."""
-    if length == 0:
-        yield ()
-        return
-    yield from combinations_with_replacement(range(max_value, -1, -1), length)
+    return combinations_with_replacement(range(max_value, -1, -1), length)
 
 
 def iter_sorted_recurrent_groups(
@@ -444,6 +460,8 @@ def iter_sorted_recurrent(graph: SplitGraph) -> Iterator[Config]:
 
 
 def _enumerate_phi(graph: SplitGraph) -> list[Config]:
+    """The image of all Schroder words under phi, sorted like the
+    enumeration; the tests compare it with :func:`iter_sorted_recurrent`."""
     from . import schroder
 
     out = [schroder.phi(w) for w in schroder.enumerate_schroder(graph.n, graph.d)]
@@ -452,25 +470,18 @@ def _enumerate_phi(graph: SplitGraph) -> list[Config]:
 
 
 @lru_cache(maxsize=None)
-def _enumerate_cached(n: int, d: int, backend: str) -> tuple[Config, ...]:
-    graph = SplitGraph(n, d)
-    if backend == "dhar":
-        return tuple(iter_sorted_recurrent(graph))
-    if backend == "phi":
-        return tuple(_enumerate_phi(graph))
-    raise PreconditionError(f"unknown backend {backend!r}")
+def _enumerate_cached(n: int, d: int) -> tuple[Config, ...]:
+    return tuple(iter_sorted_recurrent(SplitGraph(n, d)))
 
 
-def enumerate_sorted_recurrent(graph: SplitGraph, backend: str = "dhar") -> tuple[Config, ...]:
+def enumerate_sorted_recurrent(graph: SplitGraph) -> tuple[Config, ...]:
     """All sorted recurrent configurations, lexicographically decreasing.
 
-    ``backend`` chooses between the direct filter of sorted stable
-    configurations ("dhar", :func:`iter_sorted_recurrent`) and the image
-    of all Schroder words under phi ("phi"); the tests compare the two.
-    The result is cached per shape and backend; callers that only walk
-    the set once should iterate :func:`iter_sorted_recurrent` instead.
+    The direct filter of sorted stable configurations,
+    :func:`iter_sorted_recurrent`, cached per shape; callers that only
+    walk the set once should iterate :func:`iter_sorted_recurrent` instead.
     """
-    return _enumerate_cached(graph.n, graph.d, backend)
+    return _enumerate_cached(graph.n, graph.d)
 
 
 def sorted_recurrent_count(n: int, d: int) -> int:

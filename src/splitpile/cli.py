@@ -28,12 +28,9 @@ from .asm import (
     InternalError,
     PreconditionError,
     SplitGraph,
-    _check_shape,
     config_to_json,
     format_config,
     height,
-    is_recurrent,
-    is_sorted_config,
     iter_sorted_recurrent,
     iter_sorted_recurrent_groups,
     level,
@@ -133,8 +130,7 @@ def _write_recurrent_rows(graph: SplitGraph, csv: bool, out) -> None:
 # ---------------------------------------------------------------------------
 
 def _word_stats(word: str) -> dict:
-    if not sc.is_schroder(word):
-        raise PreconditionError(f"{word!r} is not a Schroder word")
+    sc._require_schroder(word)
     n, d = word.count("U"), word.count("H")
     dyck = sc.collapse(word)
     dyck_value, dyck_peaks = sc.dyck_bounce(dyck)
@@ -155,14 +151,7 @@ def _word_stats(word: str) -> dict:
 
 
 def _config_stats(graph: SplitGraph, config) -> dict:
-    if not is_sorted_config(config):
-        raise PreconditionError(
-            f"{format_config(config)} is not sorted: stats needs weakly decreasing clique "
-            "and independent parts"
-        )
-    if not is_recurrent(graph, config):
-        raise PreconditionError(f"{format_config(config)} is not recurrent")
-    cti = tp.topple_cti(graph, config)
+    cti = tp.topple_cti(graph, config)  # checks that config is sorted recurrent
     itc = tp.topple_itc(graph, config)
     word = sc.phi_inv(config)
     mirrored = sc.mirror(word)
@@ -191,9 +180,7 @@ def cmd_stats(args) -> int:
         if args.config is None or args.n is None or args.d is None:
             raise PreconditionError("stats needs --word or a config with -n and -d")
         graph = SplitGraph(args.n, args.d)
-        config = parse_config(args.config)
-        _check_shape(graph, config)
-        payload = _config_stats(graph, config)
+        payload = _config_stats(graph, parse_config(args.config))
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 

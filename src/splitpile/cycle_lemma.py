@@ -22,10 +22,10 @@ from .asm import (
     SplitGraph,
     _burn_sorted,
     _check_shape,
+    _require_sorted_recurrent,
     _stabilize_raw,
     _topple_inplace,
     is_nonnegative,
-    is_recurrent,
     is_sorted_config,
     is_stable,
     weakly_decreasing_tuples,
@@ -230,9 +230,9 @@ def class_members(graph: SplitGraph, config: Config) -> list[Config]:
     are enforced.
     """
     n, d = graph.n, graph.d
-    _require_sorted_compact(graph, config)
-    if not (is_nonnegative(config) and is_stable(graph, config) and is_recurrent(graph, config)):
-        raise PreconditionError("class_members requires a sorted recurrent configuration")
+    # a sorted recurrent configuration is compact: its clique spread is at
+    # most n+d-1 and its independent spread at most n
+    _require_sorted_recurrent(graph, config)
 
     states = [config]
     current = _step(graph, TS, config)

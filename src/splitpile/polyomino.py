@@ -18,9 +18,7 @@ from .asm import (
     InternalError,
     PreconditionError,
     SplitGraph,
-    _check_shape,
-    is_recurrent,
-    is_sorted_config,
+    _require_sorted_recurrent,
 )
 from . import schroder
 from .toppling import CTI, ITC
@@ -120,14 +118,12 @@ def is_valid(poly: SawtoothPolyomino) -> bool:
 def from_config(graph: SplitGraph, config: Config) -> SawtoothPolyomino:
     """Map a sorted recurrent configuration directly to its polyomino.
 
-    The input is checked to fit the graph and to be sorted and
-    recurrent; the paths are then walked by :func:`_from_sorted_recurrent`.
-    The verify suite and the tests compare the result with the word route
+    The input is checked by :func:`splitpile.asm._require_sorted_recurrent`;
+    the paths are then walked by :func:`_from_sorted_recurrent`.  The
+    verify suite and the tests compare the result with the word route
     sts(phi_inv(c)).
     """
-    _check_shape(graph, config)
-    if not (is_sorted_config(config) and is_recurrent(graph, config)):
-        raise PreconditionError(f"{config} is not a sorted recurrent configuration")
+    _require_sorted_recurrent(graph, config)
     return _from_sorted_recurrent(graph, config)
 
 

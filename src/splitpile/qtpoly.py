@@ -156,31 +156,18 @@ def is_qt_symmetric(poly: QtPolynomial) -> bool:
 def q_binomial(m: int, k: int) -> QtPolynomial:
     """Gaussian binomial [m choose k]_q as a polynomial in q.
 
-    Built by the recurrence [i, j] = [i-1, j-1] + q^j [i-1, j] on dense
-    q-coefficient lists, so all coefficients stay exact integers.  Results
-    are cached and shared between callers; polynomials are never mutated
-    in place.
+    Built by the q-Pascal rule [m, k] = [m-1, k-1] + q^k [m-1, k], with
+    [m, 0] = [m, m] = 1, over this function's own cache, so all
+    coefficients stay exact integers.  Results are cached and shared
+    between callers; polynomials are never mutated in place.
     """
     if not 0 <= k <= m:
         raise PreconditionError(f"need 0 <= k <= m, got ({m}, {k})")
-    prev: list[list[int]] = [[1]]
-    for i in range(1, m + 1):
-        cur: list[list[int]] = []
-        for j in range(0, i + 1):
-            if j == 0 or j == i:
-                cur.append([1])
-                continue
-            left = prev[j - 1]
-            right = [0] * j + prev[j]
-            size = max(len(left), len(right))
-            cur.append(
-                [
-                    (left[x] if x < len(left) else 0) + (right[x] if x < len(right) else 0)
-                    for x in range(size)
-                ]
-            )
-        prev = cur
-    return QtPolynomial({(e, 0): c for e, c in enumerate(prev[k]) if c})
+    if k == 0 or k == m:
+        return QtPolynomial.one()
+    out = dict(q_binomial(m - 1, k - 1).terms)
+    _add_shifted(out, q_binomial(m - 1, k), k, 0)
+    return QtPolynomial(out)
 
 
 def q_multinomial(a: int, b: int, c: int) -> QtPolynomial:

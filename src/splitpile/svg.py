@@ -8,7 +8,6 @@ y-axis flipped so drawings match the figures' orientation.
 from __future__ import annotations
 
 from . import schroder as sc
-from .asm import PreconditionError
 from .polyomino import SawtoothPolyomino, cti_bounce, itc_bounce
 
 _HEADER = '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -41,8 +40,7 @@ def render_path(
 ) -> str:
     """A Schroder path on its grid with optional peak dots and the
     direct bounce-path overlay (red, dashed), mirroring the figures."""
-    if not sc.is_schroder(word):
-        raise PreconditionError(f"{word!r} is not a Schroder word")
+    sc._require_schroder(word)
     size = word.count("U") + word.count("H")
     side = size * cell + 2 * pad
 

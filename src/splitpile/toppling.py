@@ -15,14 +15,11 @@ from typing import Iterator
 
 from .asm import (
     Config,
+    InternalError,
     PreconditionError,
     SplitGraph,
     _burn_rounds,
-    _burn_sorted,
-    _require_stable,
-    is_nonnegative,
-    is_recurrent,
-    is_sorted_config,
+    _require_sorted_recurrent,
 )
 
 CTI = "CTI"
@@ -62,12 +59,12 @@ def wtopple_of_sizes(sizes: tuple[int, ...]) -> int:
 
 
 def _run_parallel(graph: SplitGraph, config: Config, clique_first: bool) -> ToppleTrace:
-    if not is_sorted_config(config):
-        raise PreconditionError("parallel toppling requires a sorted configuration")
-    _require_stable(graph, config)
+    _require_sorted_recurrent(graph, config, clique_first)
+    # the round simulation is kept apart from the counter form so that the
+    # tests can compare the two
     rounds = _burn_rounds(graph, config, clique_first)
     if rounds is None:
-        raise PreconditionError("parallel toppling requires a recurrent configuration")
+        raise InternalError(f"the round simulation stalled on the recurrent {config}")
     return ToppleTrace(CTI if clique_first else ITC, rounds)
 
 
@@ -81,26 +78,14 @@ def topple_itc(graph: SplitGraph, config: Config) -> ToppleTrace:
     return _run_parallel(graph, config, clique_first=False)
 
 
-def _burn_sizes(graph: SplitGraph, config: Config, clique_first: bool) -> tuple[int, ...]:
-    # the counter-form burn reads blocks off sorted runs, so an unsorted
-    # configuration would give wrong sizes rather than fail
-    if not is_sorted_config(config):
-        raise PreconditionError("toppling sizes require a sorted configuration")
-    _require_stable(graph, config)
-    sizes = _burn_sorted(graph, config.clique, config.independent, clique_first)
-    if sizes is None:
-        raise PreconditionError("configuration is not recurrent")
-    return sizes
-
-
 def cti_sizes(graph: SplitGraph, config: Config) -> tuple[int, ...]:
     """Sizes of the CTI trace without materializing vertex sets."""
-    return _burn_sizes(graph, config, clique_first=True)
+    return _require_sorted_recurrent(graph, config, clique_first=True)
 
 
 def itc_sizes(graph: SplitGraph, config: Config) -> tuple[int, ...]:
     """Sizes of the ITC trace without materializing vertex sets."""
-    return _burn_sizes(graph, config, clique_first=False)
+    return _require_sorted_recurrent(graph, config, clique_first=False)
 
 
 def trace_to_json(trace: ToppleTrace) -> dict:
@@ -232,12 +217,11 @@ def canonical_config(graph: SplitGraph, seq: ItcSequence) -> Config:
         clique.extend([n + d - prior - b_full[j]] * a_full[j])
         indep.extend([n + 1 - sum(a_full[:j])] * b_full[j])
     candidate = Config(tuple(clique), tuple(indep))
-    if (
-        is_sorted_config(candidate)
-        and is_nonnegative(candidate)
-        and is_recurrent(graph, candidate)
-        and itc_sequence_of_sizes(itc_sizes(graph, candidate)) == seq
-    ):
+    try:
+        realized = itc_sequence_of_sizes(itc_sizes(graph, candidate)) == seq
+    except PreconditionError:
+        realized = False
+    if realized:
         return candidate
     raise PreconditionError(f"sequence {seq} is not realizable on S({n},{d})")
 

@@ -66,10 +66,6 @@ def _report(check: str, params: dict, counterexample: dict | None) -> Verificati
     )
 
 
-def _shapes(max_n: int, max_d: int) -> list[tuple[int, int]]:
-    return [(n, d) for n in range(1, max_n + 1) for d in range(0, max_d + 1)]
-
-
 # ---------------------------------------------------------------------------
 # individual checks; each returns None or a counterexample payload
 # ---------------------------------------------------------------------------
@@ -416,64 +412,61 @@ def check_cell_exchange(limit: int = 8) -> dict | None:
 # suite assembly
 # ---------------------------------------------------------------------------
 
+# Each entry is (name, check, cap): word-enumeration checks get too large
+# beyond their cap (max_n, max_d); None leaves the range uncapped.
 _SHAPE_CHECKS = {
     "bijections": [
-        ("phi_roundtrip", check_phi_roundtrip),
-        ("mirror_involution", check_mirror_involution),
-        ("word_polyomino_validity", check_sts_validity),
-        ("config_polyomino_route", check_from_config_route),
+        ("phi_roundtrip", check_phi_roundtrip, None),
+        ("mirror_involution", check_mirror_involution, None),
+        ("word_polyomino_validity", check_sts_validity, (4, 3)),
+        ("config_polyomino_route", check_from_config_route, None),
     ],
     "theorems": [
-        ("area_equals_level", check_area_level),
-        ("bounce_equals_wtopple", check_bounce_wtopple),
-        ("peaks_coincide", check_peaks_coincide),
-        ("bounce_formulations_agree", check_bounce_formulations),
-        ("polyomino_statistics", check_polyomino_statistics),
-        ("itc_sequence_description", check_itc_sequence_sets),
-        ("recurrent_count", check_counts),
-        ("itc_identity_chain", check_identity_chain),
-        ("abelian_stabilization", check_abelian),
-        ("burning_returns_start", check_burning_returns),
+        ("area_equals_level", check_area_level, None),
+        ("bounce_equals_wtopple", check_bounce_wtopple, None),
+        ("peaks_coincide", check_peaks_coincide, None),
+        ("bounce_formulations_agree", check_bounce_formulations, None),
+        ("polyomino_statistics", check_polyomino_statistics, None),
+        ("itc_sequence_description", check_itc_sequence_sets, None),
+        ("recurrent_count", check_counts, None),
+        ("itc_identity_chain", check_identity_chain, None),
+        ("abelian_stabilization", check_abelian, (4, 3)),
+        ("burning_returns_start", check_burning_returns, None),
     ],
     "cycle-lemma": [
-        ("operator_laws", check_operator_laws),
-        ("weight_laws", check_weight_laws),
-        ("class_partition", check_cycle_lemma),
+        ("operator_laws", check_operator_laws, (4, 4)),
+        ("weight_laws", check_weight_laws, (4, 4)),
+        ("class_partition", check_cycle_lemma, (4, 3)),
     ],
     "conjectures": [
-        ("qt_cti_equals_itc", check_conjecture_cti_itc),
-        ("qt_cti_equals_schroder", check_conjecture_cti_schroder),
+        ("qt_cti_equals_itc", check_conjecture_cti_itc, None),
+        ("qt_cti_equals_schroder", check_conjecture_cti_schroder, None),
         # a bijection preserving (height, wtopple) exists iff the two
         # bistatistic multisets coincide, which is exactly f_cti == f_itc
-        ("bistatistic_bijection_exists", check_conjecture_cti_itc),
+        ("bistatistic_bijection_exists", check_conjecture_cti_itc, None),
     ],
     "appendix": [
-        ("fiber_intervals", check_fiber_intervals),
-        ("sequence_counts", check_sequence_counts),
+        ("fiber_intervals", check_fiber_intervals, (4, 3)),
+        ("sequence_counts", check_sequence_counts, None),
     ],
-}
-
-# word-enumeration checks get too large beyond these caps
-_CHECK_CAPS = {
-    "word_polyomino_validity": (4, 3),
-    "fiber_intervals": (4, 3),
-    "operator_laws": (4, 4),
-    "weight_laws": (4, 4),
-    "class_partition": (4, 3),
-    "abelian_stabilization": (4, 3),
 }
 
 
 _CHECK_FUNCS = {
-    name: fn for checks in _SHAPE_CHECKS.values() for name, fn in checks
+    name: fn for checks in _SHAPE_CHECKS.values() for name, fn, _cap in checks
 }
+_CHECK_FUNCS.update(
+    hexagon_multinomial=check_hexagon_lemma,
+    cell_exchange=check_cell_exchange,
+    partition_sum_identity=check_partition_identity,
+)
 
 #: checks whose failure is a conjecture counterexample, not a bug
-CONJECTURE_CHECKS = frozenset(name for name, _ in _SHAPE_CHECKS["conjectures"])
+CONJECTURE_CHECKS = frozenset(name for name, _fn, _cap in _SHAPE_CHECKS["conjectures"])
 
 
-def list_tasks(suite: str, max_n: int, max_d: int) -> list[tuple]:
-    """Picklable task descriptors, in deterministic order.
+def list_tasks(suite: str, max_n: int, max_d: int) -> list[tuple[str, dict]]:
+    """Picklable ``(check name, params)`` pairs, in deterministic order.
 
     An empty shape range would give a suite that examines nothing, so it
     is refused.
@@ -481,43 +474,34 @@ def list_tasks(suite: str, max_n: int, max_d: int) -> list[tuple]:
     if max_n < 1 or max_d < 0:
         raise PreconditionError(f"need max_n >= 1 and max_d >= 0, got ({max_n}, {max_d})")
     if suite == "all":
-        out: list[tuple] = []
+        out: list[tuple[str, dict]] = []
         for s in ("bijections", "theorems", "cycle-lemma", "conjectures", "appendix"):
             out.extend(list_tasks(s, max_n, max_d))
         return out
     if suite not in _SHAPE_CHECKS:
         raise ValueError(f"unknown suite {suite!r}")
-    tasks: list[tuple] = []
-    for name, _fn in _SHAPE_CHECKS[suite]:
-        cap_n, cap_d = _CHECK_CAPS.get(name, (max_n, max_d))
-        for n, d in _shapes(min(max_n, cap_n), min(max_d, cap_d)):
-            tasks.append(("shape", name, n, d))
+    tasks: list[tuple[str, dict]] = []
+    for name, _fn, cap in _SHAPE_CHECKS[suite]:
+        cap_n, cap_d = cap or (max_n, max_d)
+        for n in range(1, min(max_n, cap_n) + 1):
+            for d in range(0, min(max_d, cap_d) + 1):
+                tasks.append((name, {"n": n, "d": d}))
     if suite == "appendix":
-        tasks.append(("hexagon", 4))
-        tasks.append(("exchange", 8))
+        tasks.append(("hexagon_multinomial", {"limit": 4}))
+        tasks.append(("cell_exchange", {"limit": 8}))
         for n in range(1, min(max_n, 5) + 1):
-            tasks.append(("partition_identity", n))
+            tasks.append(("partition_sum_identity", {"n": n}))
     return tasks
 
 
-def run_task(task: tuple) -> VerificationReport:
+def run_task(task: tuple[str, dict]) -> VerificationReport:
     """Run one task; an InternalError inside the check becomes an
     ``error`` report instead of ending the run."""
     start = time.perf_counter()
-    kind, *args = task
-    if kind == "shape":
-        name, n, d = args
-        params, fn, args = {"n": n, "d": d}, _CHECK_FUNCS[name], (n, d)
-    elif kind == "hexagon":
-        name, params, fn = "hexagon_multinomial", {"limit": args[0]}, check_hexagon_lemma
-    elif kind == "exchange":
-        name, params, fn = "cell_exchange", {"limit": args[0]}, check_cell_exchange
-    elif kind == "partition_identity":
-        name, params, fn = "partition_sum_identity", {"n": args[0]}, check_partition_identity
-    else:
-        raise ValueError(f"unknown task {task!r}")
+    name, params = task
     try:
-        rep = _report(name, params, fn(*args))
+        # positional, in the order of params, which is each check's signature
+        rep = _report(name, params, _CHECK_FUNCS[name](*params.values()))
     except InternalError as exc:
         rep = VerificationReport(name, params, "error", {"internal_error": str(exc)})
     rep.seconds = time.perf_counter() - start

@@ -26,6 +26,7 @@ from splitpile.asm import (
     stabilize,
     topple,
     _enumerate_cached,
+    _enumerate_phi,
     _stabilize_raw,
 )
 
@@ -225,16 +226,14 @@ def test_enumeration_backends_agree():
     for n in range(1, 6):
         for d in range(0, 5):
             g = SplitGraph(n, d)
-            assert enumerate_sorted_recurrent(g, backend="dhar") == enumerate_sorted_recurrent(
-                g, backend="phi"
-            )
+            assert enumerate_sorted_recurrent(g) == tuple(_enumerate_phi(g))
 
 
 def test_streaming_matches_phi_backend():
     for n in range(1, 6):
         for d in range(0, 5):
             g = SplitGraph(n, d)
-            assert list(iter_sorted_recurrent(g)) == list(enumerate_sorted_recurrent(g, "phi"))
+            assert list(iter_sorted_recurrent(g)) == _enumerate_phi(g)
 
 
 def test_streamed_sizes_are_the_cti_sizes():
@@ -276,8 +275,8 @@ def test_counts():
     for n in range(1, 7):
         for d in range(0, 5):
             g = SplitGraph(n, d)
-            backend = "phi" if n >= 6 else "dhar"
-            assert len(enumerate_sorted_recurrent(g, backend=backend)) == sorted_recurrent_count(n, d)
+            enumerate_fn = _enumerate_phi if n >= 6 else enumerate_sorted_recurrent
+            assert len(enumerate_fn(g)) == sorted_recurrent_count(n, d)
 
 
 def test_sink_then_stabilize_fixes_recurrents():

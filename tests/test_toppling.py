@@ -85,6 +85,28 @@ def test_trace_preconditions():
                 fn(G22, bad)
 
 
+def test_each_domain_fault_has_one_message(capsys):
+    from splitpile import cli
+    from splitpile.cycle_lemma import class_members
+    from splitpile.polyomino import from_config
+
+    expected = {
+        "2,3;2,2": "2,3;2,2 is not sorted: it needs weakly decreasing clique and independent parts",
+        "3,3;2": "configuration 3,3;2 does not fit S(2,2)",
+        "3,3;2,-1": "recurrence test requires non-negative grain counts",
+        "9,9;9,9": "recurrence test requires a stable configuration",
+        "2,2;1,1": "2,2;1,1 is not recurrent",
+    }
+    entry_points = (topple_cti, topple_itc, cti_sizes, itc_sizes, from_config, class_members)
+    for text, message in expected.items():
+        for fn in entry_points:
+            with pytest.raises(PreconditionError) as info:
+                fn(G22, parse_config(text))
+            assert str(info.value) == message, fn.__name__
+        assert cli.main(["stats", text, "-n", "2", "-d", "2"]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_size_shortcuts_match_traces():
     # the trace builders also re-assert that replaying returns the input
     for n, d in [(1, 0), (2, 2), (3, 1), (3, 2), (4, 3), (5, 4)]:
