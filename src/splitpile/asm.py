@@ -365,14 +365,16 @@ def _burn_rounds(
 ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] | None:
     """Burning test as rounds of parallel topplings after a sink toppling.
 
-    Each round topples every unstable vertex of the first class and then
-    every vertex of the second class that is unstable after that, each by
-    :func:`_topple_inplace`.  A vertex that has toppled cannot become
-    unstable again before all its neighbours have toppled once, so no
-    vertex topples twice.  Returns the rounds as pairs of index tuples
-    within the parts, (clique, independent) or (independent, clique), or
-    None if a round topples nothing before every vertex has toppled (not
-    recurrent).
+    The definition of the CTI and ITC processes, kept as the reference
+    the tests compare the counter form and the traces against; no library
+    path runs it.  Each round topples every unstable vertex of the first
+    class and then every vertex of the second class that is unstable
+    after that, each by :func:`_topple_inplace`.  A vertex that has
+    toppled cannot become unstable again before all its neighbours have
+    toppled once, so no vertex topples twice.  Returns the rounds as
+    pairs of index tuples within the parts, (clique, independent) or
+    (independent, clique), or None if a round topples nothing before
+    every vertex has toppled (not recurrent).
     """
     n, d = graph.n, graph.d
     a = [x + 1 for x in config.clique]
@@ -397,24 +399,18 @@ def _burn_rounds(
     return tuple(rounds)
 
 
-def is_recurrent(graph: SplitGraph, config: Config, with_witness: bool = False):
+def is_recurrent(graph: SplitGraph, config: Config) -> bool:
     """Dhar's burning test for a stable configuration.
 
-    Returns a bool, or ``(bool, order)`` when ``with_witness`` is set;
-    the witness is a burning order (vertex indices, sink excluded) in
-    which each vertex becomes unstable given the previous topplings: the
-    clique-first rounds of :func:`_burn_rounds`, flattened.
+    Permuting the clique vertices, or the independent ones, is an
+    automorphism of S(n, d), so the sorted rearrangement of ``config``
+    has the same verdict, and the counter form :func:`_burn_sorted`
+    gives it.
     """
     _require_stable(graph, config)
-    if is_sorted_config(config) and not with_witness:
-        return _burn_sorted(graph, config.clique, config.independent) is not None
-    rounds = _burn_rounds(graph, config)
-    if not with_witness:
-        return rounds is not None
-    if rounds is None:
-        return False, None
-    n = graph.n
-    return True, tuple(v for clique, indep in rounds for v in clique + tuple(n + j for j in indep))
+    a = tuple(sorted(config.clique, reverse=True))
+    b = tuple(sorted(config.independent, reverse=True))
+    return _burn_sorted(graph, a, b) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -151,8 +151,8 @@ def _word_stats(word: str) -> dict:
 
 
 def _config_stats(graph: SplitGraph, config) -> dict:
-    cti = tp.topple_cti(graph, config)  # checks that config is sorted recurrent
-    itc = tp.topple_itc(graph, config)
+    cti = tp.cti_sizes(graph, config)  # checks that config is sorted recurrent
+    itc = tp.itc_sizes(graph, config)
     word = sc.phi_inv(config)
     mirrored = sc.mirror(word)
     return {
@@ -161,10 +161,10 @@ def _config_stats(graph: SplitGraph, config) -> dict:
         "d": graph.d,
         "height": height(config),
         "level": level(graph, config),
-        "topple_cti": list(cti.sizes()),
-        "wtopple_cti": tp.wtopple(cti),
-        "topple_itc": list(itc.sizes()),
-        "wtopple_itc": tp.wtopple(itc),
+        "topple_cti": list(cti),
+        "wtopple_cti": tp.wtopple_of_sizes(cti),
+        "topple_itc": list(itc),
+        "wtopple_itc": tp.wtopple_of_sizes(itc),
         "word": word,
         "mirror_word": mirrored,
         "area": sc.area(mirrored),

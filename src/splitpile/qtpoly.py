@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
 from .asm import (
     InternalError,
@@ -156,18 +157,20 @@ def is_qt_symmetric(poly: QtPolynomial) -> bool:
 def q_binomial(m: int, k: int) -> QtPolynomial:
     """Gaussian binomial [m choose k]_q as a polynomial in q.
 
-    Built by the q-Pascal rule [m, k] = [m-1, k-1] + q^k [m-1, k], with
-    [m, 0] = [m, m] = 1, over this function's own cache, so all
-    coefficients stay exact integers.  Results are cached and shared
-    between callers; polynomials are never mutated in place.
+    Built row by row by the q-Pascal rule [j, i] = [j-1, i-1] + q^i [j-1, i],
+    with [j, 0] = [j, j] = 1, on coefficient lists, so all coefficients
+    stay exact integers and no call recurses.  Results are cached and
+    shared between callers; polynomials are never mutated in place.
     """
     if not 0 <= k <= m:
         raise PreconditionError(f"need 0 <= k <= m, got ({m}, {k})")
-    if k == 0 or k == m:
-        return QtPolynomial.one()
-    out = dict(q_binomial(m - 1, k - 1).terms)
-    _add_shifted(out, q_binomial(m - 1, k), k, 0)
-    return QtPolynomial(out)
+    k = min(k, m - k)  # [m, k] = [m, m - k]
+    row = [[1]] + [[]] * k  # [j, 0], ..., [j, k] as coefficients in q; [] is 0
+    for j in range(1, m + 1):
+        for i in range(min(j, k), 0, -1):
+            high = [0] * i + row[i] if row[i] else []
+            row[i] = [x + y for x, y in zip_longest(row[i - 1], high, fillvalue=0)]
+    return QtPolynomial({(e, 0): c for e, c in enumerate(row[k])})
 
 
 def q_multinomial(a: int, b: int, c: int) -> QtPolynomial:

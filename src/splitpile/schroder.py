@@ -148,7 +148,7 @@ def phi(word: str) -> Config:
             non_u += 1
     config = Config(tuple(reversed(a_rev)), tuple(reversed(b_rev)))
     if not is_sorted_config(config):
-        raise PreconditionError(f"phi({word!r}) produced an unsorted configuration")
+        raise InternalError(f"phi({word!r}) produced an unsorted configuration")
     return config
 
 

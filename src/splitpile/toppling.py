@@ -11,16 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
-from .asm import (
-    Config,
-    InternalError,
-    PreconditionError,
-    SplitGraph,
-    _burn_rounds,
-    _require_sorted_recurrent,
-)
+from .asm import Config, PreconditionError, SplitGraph, _require_sorted_recurrent
 
 CTI = "CTI"
 ITC = "ITC"
@@ -58,13 +52,16 @@ def wtopple_of_sizes(sizes: tuple[int, ...]) -> int:
     return sum(i * (sizes[2 * i - 2] + sizes[2 * i - 1]) for i in range(1, len(sizes) // 2 + 1))
 
 
+def _blocks(sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Consecutive index blocks 0..s1-1, s1..s1+s2-1, ... of the given sizes."""
+    return [tuple(range(end - size, end)) for size, end in zip(sizes, accumulate(sizes))]
+
+
 def _run_parallel(graph: SplitGraph, config: Config, clique_first: bool) -> ToppleTrace:
-    _require_sorted_recurrent(graph, config, clique_first)
-    # the round simulation is kept apart from the counter form so that the
-    # tests can compare the two
-    rounds = _burn_rounds(graph, config, clique_first)
-    if rounds is None:
-        raise InternalError(f"the round simulation stalled on the recurrent {config}")
+    # every round of a sorted configuration burns a prefix of each part's
+    # unburnt vertices, so the counter form's block sizes give the rounds
+    sizes = _require_sorted_recurrent(graph, config, clique_first)
+    rounds = tuple(zip(_blocks(sizes[0::2]), _blocks(sizes[1::2])))
     return ToppleTrace(CTI if clique_first else ITC, rounds)
 
 

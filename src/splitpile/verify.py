@@ -121,8 +121,7 @@ def check_bounce_wtopple(n: int, d: int) -> dict | None:
     graph = SplitGraph(n, d)
     for c in enumerate_sorted_recurrent(graph):
         w = sc.mirror(sc.phi_inv(c))
-        trace = tp.topple_itc(graph, c)
-        if sc.schroder_bounce(w) != tp.wtopple(trace) - (n + d):
+        if sc.schroder_bounce(w) != tp.wtopple_of_sizes(tp.itc_sizes(graph, c)) - (n + d):
             return {"config": format_config(c), "word": w}
     return None
 
@@ -133,7 +132,7 @@ def check_peaks_coincide(n: int, d: int) -> dict | None:
     graph = SplitGraph(n, d)
     for c in enumerate_sorted_recurrent(graph):
         w = sc.mirror(sc.phi_inv(c))
-        seq = tp.itc_sequence_of(tp.topple_itc(graph, c))
+        seq = tp.itc_sequence_of_sizes(tp.itc_sizes(graph, c))
         p, q = seq.a, seq.b
         k = seq.length
         loop_peaks = []

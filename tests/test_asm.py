@@ -25,6 +25,7 @@ from splitpile.asm import (
     sorted_recurrent_count,
     stabilize,
     topple,
+    _burn_rounds,
     _enumerate_cached,
     _enumerate_phi,
     _stabilize_raw,
@@ -163,23 +164,27 @@ def test_recurrence_against_exhaustive_table():
             assert is_recurrent(G22, c) == (format_config(c) in TABLE_22)
 
 
+def _burning_order(g, rounds):
+    """The clique-first rounds of the round simulation, flattened to
+    vertex indices (sink excluded)."""
+    return [v for clique, indep in rounds for v in clique + tuple(g.n + j for j in indep)]
+
+
 def test_fast_and_general_burning_agree():
-    # the sorted counter path and the round simulation (witness path)
-    # must classify every stable configuration identically, sorted or not,
-    # and the witness must be a legal burning order
+    # is_recurrent (the counter form on the sorted rearrangement) and the
+    # round simulation must classify every stable configuration
+    # identically, sorted or not, and the simulation's rounds must be a
+    # legal burning order
     for n, d in [(2, 2), (3, 1), (2, 3), (3, 2)]:
         g = SplitGraph(n, d)
         for a in itertools.product(range(g.clique_degree), repeat=n):
             for b in itertools.product(range(g.indep_degree), repeat=d):
                 c = Config(a, b)
-                fast = is_recurrent(
-                    g, Config(sorted(a, reverse=True), sorted(b, reverse=True))
-                )
-                general, order = is_recurrent(g, c, with_witness=True)
-                assert general == fast
-                if not general:
-                    assert order is None
+                rounds = _burn_rounds(g, c)
+                assert is_recurrent(g, c) == (rounds is not None)
+                if rounds is None:
                     continue
+                order = _burning_order(g, rounds)
                 assert sorted(order) == list(range(n + d))
                 replay = topple(g, c, SINK)
                 for v in order:
@@ -188,10 +193,12 @@ def test_fast_and_general_burning_agree():
 
 
 def test_recurrent_witness():
-    ok, order = is_recurrent(G22, parse_config("3,3;2,2"), with_witness=True)
-    assert ok and sorted(order) == [0, 1, 2, 3]
-    ok, order = is_recurrent(G22, parse_config("2,2;1,1"), with_witness=True)
-    assert not ok and order is None
+    c = parse_config("3,3;2,2")
+    assert is_recurrent(G22, c)
+    assert sorted(_burning_order(G22, _burn_rounds(G22, c))) == [0, 1, 2, 3]
+    c = parse_config("2,2;1,1")
+    assert not is_recurrent(G22, c)
+    assert _burn_rounds(G22, c) is None
 
 
 def test_height_and_level():

@@ -74,6 +74,15 @@ def test_q_binomial():
         q_binomial(2, 3)
 
 
+def test_q_binomial_deep_rows():
+    import math
+
+    # building a row m deep must not recurse m levels deep
+    assert q_binomial(1200, 1) == QtPolynomial({(e, 0): 1 for e in range(1200)})
+    assert q_binomial(2000, 2).evaluate(1, 1) == math.comb(2000, 2)
+    assert q_binomial(2000, 1998) == q_binomial(2000, 2)
+
+
 def test_q_binomial_counts_at_one():
     import math
 

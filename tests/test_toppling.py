@@ -1,6 +1,16 @@
 import pytest
 
-from splitpile.asm import Config, PreconditionError, SplitGraph, enumerate_sorted_recurrent, parse_config
+from splitpile import asm
+from splitpile.asm import (
+    Config,
+    PreconditionError,
+    SplitGraph,
+    _burn_rounds,
+    _burn_sorted,
+    enumerate_sorted_recurrent,
+    is_recurrent,
+    parse_config,
+)
 from splitpile.toppling import (
     CTI,
     ITC,
@@ -108,12 +118,47 @@ def test_each_domain_fault_has_one_message(capsys):
 
 
 def test_size_shortcuts_match_traces():
-    # the trace builders also re-assert that replaying returns the input
+    # the traces are laid out from the counter form's block sizes; the
+    # round simulation, which also asserts that replaying returns the
+    # input, is the definition they must equal
     for n, d in [(1, 0), (2, 2), (3, 1), (3, 2), (4, 3), (5, 4)]:
         g = SplitGraph(n, d)
         for c in enumerate_sorted_recurrent(g):
-            assert cti_sizes(g, c) == topple_cti(g, c).sizes()
-            assert itc_sizes(g, c) == topple_itc(g, c).sizes()
+            cti, itc = topple_cti(g, c), topple_itc(g, c)
+            assert cti_sizes(g, c) == cti.sizes()
+            assert itc_sizes(g, c) == itc.sizes()
+            assert cti.rounds == _burn_rounds(g, c, True)
+            assert itc.rounds == _burn_rounds(g, c, False)
+
+
+def test_each_trace_and_recurrence_test_burns_once(monkeypatch):
+    burns = []
+
+    def counted_burn(*args, **kwargs):
+        burns.append(args)
+        return _burn_sorted(*args, **kwargs)
+
+    def simulation(*args, **kwargs):
+        raise AssertionError("the round simulation ran on a library path")
+
+    monkeypatch.setattr(asm, "_burn_sorted", counted_burn)
+    # the simulation topples every vertex, wherever it is called from
+    monkeypatch.setattr(asm, "_burn_rounds", simulation)
+    monkeypatch.setattr(asm, "_topple_inplace", simulation)
+    unsorted = parse_config("2,7,5,1,6;4,5,4")  # C53 rearranged
+    for config in (C53, unsorted):
+        burns.clear()
+        assert is_recurrent(G53, config)
+        assert len(burns) == 1
+    for fn in (topple_cti, topple_itc):
+        burns.clear()
+        fn(G53, C53)
+        assert len(burns) == 1
+        # an unsorted input is refused before any burning
+        burns.clear()
+        with pytest.raises(PreconditionError):
+            fn(G53, unsorted)
+        assert burns == []
 
 
 def test_every_vertex_topples_once():
