@@ -55,11 +55,6 @@ class SplitGraph:
         return self.n + self.d
 
     @property
-    def vertex_count(self) -> int:
-        """Non-sink vertex count."""
-        return self.n + self.d
-
-    @property
     def nonsink_edges(self) -> int:
         """Edges not incident to the sink: C(n+d, 2) - C(d, 2)."""
         return math.comb(self.n + self.d, 2) - math.comb(self.d, 2)

@@ -77,11 +77,10 @@ class Partition:
         return sum(self.coleg(x) for x in self.cells())
 
 
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
+def partitions_of(n: int) -> Iterator[Partition]:
     """All partitions of n, largest part first, in lexicographic descending order."""
     if n < 0:
         raise PreconditionError("cannot partition a negative integer")
-    cap = n if max_part is None else min(max_part, n)
 
     def rec(rest: int, cap: int, acc: tuple[int, ...]) -> Iterator[Partition]:
         if rest == 0:
@@ -90,7 +89,7 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
         for p in range(min(cap, rest), 0, -1):
             yield from rec(rest - p, p, acc + (p,))
 
-    return rec(n, cap, ())
+    return rec(n, n, ())
 
 
 def w_weight(

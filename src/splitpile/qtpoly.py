@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import product, zip_longest
+from typing import Iterable
 
 from .asm import (
     InternalError,
@@ -230,8 +231,8 @@ def egge_sum(n: int, d: int) -> QtPolynomial:
     Sums over strict compositions alpha of n (length k) and weak
     compositions beta of d (length k+1) the term
     q^(sum C(alpha_i,2)) t^(sum_i i beta_i + sum_i (i-1) alpha_i)
-    [beta_0+alpha_1; beta_0] prod_{i<k} [beta_i, alpha_{i+1}, alpha_i-1]
-    [beta_k+alpha_k-1; beta_k].
+    prod_{i<k} [beta_i, alpha_{i+1}, alpha_i-1] [beta_k+alpha_k-1; beta_k]
+    with alpha_0 = 1, so the first factor is [beta_0+alpha_1; beta_0].
 
     The t-exponent charges t^(vertices still to place) after each of the
     steps (beta_0, alpha_1), ..., (beta_{k-1}, alpha_k), so the sum is
@@ -255,13 +256,7 @@ def egge_sum(n: int, d: int) -> QtPolynomial:
         return QtPolynomial(out)
 
     try:
-        total: dict[tuple[int, int], int] = {}
-        for alpha in range(1, n + 1):
-            for beta in range(d + 1):
-                left = n - alpha + d - beta
-                step = q_binomial(beta + alpha, beta) * rest(n - alpha, d - beta, alpha)
-                _add_shifted(total, step, alpha * (alpha - 1) // 2, left)
-        return QtPolynomial(total)
+        return rest(n, d, 1)
     finally:
         rest.cache_clear()
 
@@ -305,14 +300,11 @@ def itc_sum(n: int, d: int) -> QtPolynomial:
 
 def itc_sum_term(seq: toppling.ItcSequence) -> QtPolynomial:
     """The single sequence's contribution to :func:`itc_sum`."""
-    a = (1,) + seq.a
-    b = (0,) + seq.b
     term = QtPolynomial.one()
-    for i in range(1, seq.length + 1):
-        qexp = a[i] * (a[i] - 1) // 2
-        texp = (i - 1) * (a[i] + b[i])
-        term = term * QtPolynomial.monomial(qexp, texp)
-        term = term * q_multinomial(a[i], b[i], a[i - 1] - 1)
+    for i, (prev, b, a) in enumerate(seq.blocks()):
+        # i rounds precede this one
+        term = term * QtPolynomial.monomial(a * (a - 1) // 2, i * (a + b))
+        term = term * q_multinomial(a, b, prev)
     return term
 
 
@@ -320,30 +312,26 @@ def itc_sum_term(seq: toppling.ItcSequence) -> QtPolynomial:
 # fibers of the ITC sequence map
 # ---------------------------------------------------------------------------
 
+def _fiber_word(rounds: Iterable[str], a_last: int) -> str:
+    """The mirrored word of one shuffle per round: the rounds joined by
+    single D's and closed by the final D-run of length a_k."""
+    return schroder.mirror("D".join(rounds) + "D" * a_last)
+
+
 def extremal_words(seq: toppling.ItcSequence) -> tuple[str, str]:
     """The least and greatest Schroder words whose configuration realizes
     the given ITC toppling sequence, in the triangle-containment order.
 
-    Both are mirrored block words; the final D-run of length a_k closes
-    the path in each.
+    They take the least (D^x H^y U^z) and the greatest (U^z H^y D^x)
+    shuffle of every round's block, so they are the first and the last
+    word of :func:`fiber_words`.
     """
-    a, b = seq.a, seq.b
-    k = seq.length
-    lower_parts = [f"{'H' * b[0]}{'U' * a[0]}"]
-    for i in range(1, k):
-        lower_parts.append(f"{'D' * a[i - 1]}{'H' * b[i]}{'U' * a[i]}")
-    lower_parts.append("D" * a[k - 1])
-    w_lower = schroder.mirror("".join(lower_parts))
-
-    upper_parts = [f"{'U' * a[0]}{'H' * b[0]}"]
-    for i in range(1, k):
-        upper_parts.append(f"D{'U' * a[i]}{'H' * b[i]}{'D' * (a[i - 1] - 1)}")
-    upper_parts.append("D" * a[k - 1])
-    w_upper = schroder.mirror("".join(upper_parts))
-
+    blocks = seq.blocks()
+    w_lower = _fiber_word(("D" * x + "H" * y + "U" * z for x, y, z in blocks), seq.a[-1])
+    w_upper = _fiber_word(("U" * z + "H" * y + "D" * x for x, y, z in blocks), seq.a[-1])
     for w in (w_lower, w_upper):
         if not schroder.is_schroder(w):
-            raise PreconditionError(f"sequence {seq} yields non-Schroder extremal word {w!r}")
+            raise InternalError(f"sequence {seq} yields non-Schroder extremal word {w!r}")
     return w_lower, w_upper
 
 
@@ -397,25 +385,13 @@ def hexagon_shuffle_gf(a: int, b: int, c: int) -> QtPolynomial:
 def fiber_words(seq: toppling.ItcSequence) -> list[str]:
     """All Schroder words whose configuration realizes the ITC sequence.
 
-    Built in mirrored form as the concatenation, over rounds i, of an
-    arbitrary interleaving of D^(a_{i-1}-1), H^(b_i), U^(a_i) (with
-    a_0 = 1), a mandatory D between consecutive rounds, and a closing
-    D-run of length a_k; commuting letters within a round's block is
+    One word per choice of a shuffle of every round's block
+    (:meth:`~splitpile.toppling.ItcSequence.blocks`), joined as in
+    :func:`_fiber_word`; commuting letters within a round's block is
     exactly what preserves the toppling sequence.
     """
-    a = (1,) + seq.a
-    b = (0,) + seq.b
-    k = seq.length
-    prefixes = [""]
-    for i in range(1, k + 1):
-        sep = "D" if i > 1 else ""
-        prefixes = [
-            p + sep + block
-            for p in prefixes
-            for block in schroder.shuffles(a[i - 1] - 1, b[i], a[i])
-        ]
-    closing = "D" * a[k]
-    out = [schroder.mirror(p + closing) for p in prefixes]
+    shuffles = (schroder.shuffles(*block) for block in seq.blocks())
+    out = [_fiber_word(rounds, seq.a[-1]) for rounds in product(*shuffles)]
     for w in out:
         if not schroder.is_schroder(w):
             raise InternalError(f"fiber construction of {seq} produced non-Schroder {w!r}")

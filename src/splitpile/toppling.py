@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement
 from typing import Iterator
 
 from .asm import Config, PreconditionError, SplitGraph, _require_sorted_recurrent
@@ -119,7 +119,7 @@ def trace_from_json(obj: dict) -> ToppleTrace:
 class ItcSequence:
     """The pair [(q'_1..q'_t), (p'_1..p'_t)] of round sizes of an ITC run.
 
-    Conventions q'_0 = 0 and p'_0 = 1 (the sink toppling) are implicit.
+    The sink toppling is round 0: q'_0 = 0 and p'_0 = 1 are implicit.
     """
 
     b: tuple[int, ...]  # independent counts per round
@@ -135,6 +135,22 @@ class ItcSequence:
     def length(self) -> int:
         return len(self.a)
 
+    def blocks(self) -> list[tuple[int, int, int]]:
+        """The letter block (a_{i-1} - 1, b_i, a_i) of each round i >= 1, with a_0 = 1.
+
+        Round i of a fiber word (in mirrored form) shuffles a_{i-1} - 1 D's,
+        b_i H's and a_i U's: the D's are the clique vertices toppled in
+        round i - 1, less the one that separates the rounds.  A sequence
+        that no configuration realizes raises :class:`PreconditionError`:
+        one with a negative count, a round before the last without a
+        clique vertex, an empty last round, or no clique vertex at all.
+        """
+        a, b = self.a, self.b
+        positive_head = all(x > 0 for x in a[:-1])
+        if not (positive_head and a[-1] + b[-1] > 0 and any(a) and min(a + b) >= 0):
+            raise PreconditionError(f"sequence {self} is not realizable")
+        return list(zip((x - 1 for x in (1,) + a[:-1]), b, a))
+
 
 def itc_sequence_of(trace: ToppleTrace) -> ItcSequence:
     """Regroup an ITC trace's sizes into the [(q'), (p')] pair."""
@@ -148,16 +164,14 @@ def itc_sequence_of_sizes(sizes: tuple[int, ...]) -> ItcSequence:
 
 
 def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Weak compositions in lexicographic order: the gaps between
+    parts - 1 weakly increasing cut points in 0..total."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _weak_compositions(total - head, parts - 1):
-            yield (head,) + rest
+    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(hi - lo for lo, hi in zip((0,) + cuts, cuts + (total,)))
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -169,13 +183,12 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 def enumerate_itc_sequences(n: int, d: int) -> dict[int, list[ItcSequence]]:
     """All realizable ITC toppling sequences on S(n, d), grouped by length.
 
-    Length 1 is exactly [(d), (n)]; for length k >= 2 the clique counts
-    form a weak composition of n that is positive before the last spot,
-    the independent counts a weak composition of d, and the final round
-    is non-empty.
+    The clique counts form a weak composition of n that is positive
+    before the last spot, the independent counts a weak composition of
+    d, and the final round is non-empty (length 1 is exactly [(d), (n)]).
     """
-    out: dict[int, list[ItcSequence]] = {1: [ItcSequence((d,), (n,))]}
-    for k in range(2, n + 2):
+    out: dict[int, list[ItcSequence]] = {}
+    for k in range(1, n + 2):
         found: list[ItcSequence] = []
         for a_last in range(0, n - (k - 1) + 1):
             for head in compositions(n - a_last, k - 1):
@@ -241,8 +254,6 @@ def count_itc(n: int, d: int, k: int | None = None) -> int:
         return sum(count_itc(n, d, j) for j in range(1, n + 2))
     if k < 1:
         raise PreconditionError("sequence length must be >= 1")
-    if k == 1:
-        return 1
     return _comb(d + k - 2, d - 1) * _comb(n - 1, k - 2) + _comb(d + k - 1, d) * _comb(
         n - 1, k - 1
     )

@@ -294,8 +294,19 @@ def test_hexagon_shuffle_gf():
 def test_canonical_config_is_lower_extremal():
     from splitpile.toppling import canonical_config
 
-    for n, d in [(2, 2), (3, 1)]:
-        g = SplitGraph(n, d)
-        for seq in all_itc_sequences(n, d):
-            lo, _ = extremal_words(seq)
-            assert canonical_config(g, seq) == phi(mirror(lo))
+    for n in range(1, 6):
+        for d in range(0, 5):
+            g = SplitGraph(n, d)
+            for seq in all_itc_sequences(n, d):
+                lo, hi = extremal_words(seq)
+                fiber = fiber_words(seq)
+                assert (lo, hi) == (fiber[0], fiber[-1]), seq
+                assert canonical_config(g, seq) == phi(mirror(lo)), seq
+
+
+def test_unrealizable_sequences_are_rejected():
+    # an empty last round, and a single round without a clique vertex
+    for seq in [ItcSequence((1, 0), (1, 0)), ItcSequence((1,), (0,))]:
+        for construction in (fiber_words, extremal_words, itc_sum_term):
+            with pytest.raises(PreconditionError, match="not realizable"):
+                construction(seq)

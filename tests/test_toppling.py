@@ -278,6 +278,39 @@ def test_canonical_config_rejects_bad_sequence():
         canonical_config(G22, ItcSequence((0, 2), (0, 2)))  # sums fit, no first clique round
 
 
+def test_blocks_start_at_the_sink():
+    # round 1 follows the sink (a_0 = 1), so its block has no D
+    assert ItcSequence((1, 2, 0), (2, 2, 1)).blocks() == [(0, 1, 2), (1, 2, 2), (1, 0, 1)]
+    assert ItcSequence((3,), (2,)).blocks() == [(0, 3, 2)]
+    assert ItcSequence((0, 0, 2), (1, 1, 0)).blocks() == [(0, 0, 1), (0, 0, 1), (0, 2, 0)]
+
+
+def test_blocks_accept_exactly_the_realizable_sequences():
+    from itertools import product
+
+    def parts(total: int, k: int) -> list[tuple[int, ...]]:
+        # every length-k weak composition of total
+        return [p for p in product(range(total + 1), repeat=k) if sum(p) == total]
+
+    for n in range(1, 4):
+        for d in range(0, 3):
+            g = SplitGraph(n, d)
+            described = set(all_itc_sequences(n, d))
+            for k in range(1, n + 3):
+                for a, b in product(parts(n, k), parts(d, k)):
+                    seq = ItcSequence(b, a)
+                    if seq in described:
+                        assert len(seq.blocks()) == k
+                        continue
+                    for check in (ItcSequence.blocks, lambda s: canonical_config(g, s)):
+                        with pytest.raises(PreconditionError, match="not realizable"):
+                            check(seq)
+    # a negative count is refused even where the other rules hold
+    for seq in [ItcSequence((-1, 2), (1, 1)), ItcSequence((0, 2), (3, -1))]:
+        with pytest.raises(PreconditionError, match="not realizable"):
+            seq.blocks()
+
+
 def test_count_itc_values():
     assert count_itc(2, 2) == 9
     assert count_itc(2, 2, 1) == 1
