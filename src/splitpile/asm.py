@@ -14,6 +14,8 @@ burning test, and enumeration of sorted recurrent configurations.
 from __future__ import annotations
 
 import math
+import operator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -121,9 +123,27 @@ def config_to_json(graph: SplitGraph, config: Config) -> dict:
     }
 
 
+@contextmanager
+def _reading_json(form: str):
+    """Read a documented JSON form: a missing key, a value of the wrong
+    type or a wrong number of values raises :class:`PreconditionError`.
+    Integer fields are read with ``operator.index``, which refuses
+    strings and floats."""
+    try:
+        yield
+    except PreconditionError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise PreconditionError(f"bad {form} JSON ({type(exc).__name__}: {exc})") from exc
+
+
 def config_from_json(obj: dict) -> tuple[SplitGraph, Config]:
-    graph = SplitGraph(int(obj["n"]), int(obj["d"]))
-    config = Config(tuple(obj["clique"]), tuple(obj["independent"]))
+    with _reading_json("configuration"):
+        graph = SplitGraph(operator.index(obj["n"]), operator.index(obj["d"]))
+        config = Config(
+            tuple(map(operator.index, obj["clique"])),
+            tuple(map(operator.index, obj["independent"])),
+        )
     _check_shape(graph, config)
     return graph, config
 
@@ -184,7 +204,10 @@ def topple(graph: SplitGraph, config: Config, vertex) -> Config:
     b = list(config.independent)
     if vertex == SINK:
         return Config([x + 1 for x in a], [x + 1 for x in b])
-    v = int(vertex)
+    try:
+        v = operator.index(vertex)
+    except TypeError:
+        raise PreconditionError(f"vertex {vertex!r} is neither SINK nor an integer") from None
     if not 0 <= v < n + d:
         raise PreconditionError(f"vertex {vertex!r} out of range for S({n},{d})")
     if v < n and a[v] < graph.clique_degree:

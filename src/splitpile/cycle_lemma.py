@@ -104,13 +104,13 @@ def _step(graph: SplitGraph, op: str, config: Config) -> Config:
     m = n + d + 1
     a = config.clique
     b = config.independent
+    if d == 0 and op in (TI, TI_INV):
+        raise PreconditionError("TI needs at least one independent vertex")
     if op == TS:
         out = Config(tuple(x + 1 for x in a), tuple(x + 1 for x in b))
     elif op == TK:
         out = Config(tuple(x + 1 for x in a[1:]) + (a[0] - m + 1,), tuple(x + 1 for x in b))
     elif op == TI:
-        if d == 0:
-            raise PreconditionError("TI needs at least one independent vertex")
         out = Config(tuple(x + 1 for x in a), tuple(b[1:]) + (b[0] - (n + 1),))
     elif op == TW:
         out = Config(tuple(a[1:]) + (a[0] - m,), b)
@@ -119,8 +119,6 @@ def _step(graph: SplitGraph, op: str, config: Config) -> Config:
     elif op == TK_INV:
         out = Config((a[-1] + m - 1,) + tuple(x - 1 for x in a[:-1]), tuple(x - 1 for x in b))
     elif op == TI_INV:
-        if d == 0:
-            raise PreconditionError("TI needs at least one independent vertex")
         out = Config(tuple(x - 1 for x in a), (b[-1] + n + 1,) + tuple(b[:-1]))
     elif op == TW_INV:
         out = Config((a[-1] + m,) + tuple(a[:-1]), b)
@@ -236,28 +234,24 @@ def class_members(graph: SplitGraph, config: Config) -> list[Config]:
 
     states = [config]
     current = _step(graph, TS, config)
-    indep_budget = d
     for _ in range(n):
         while current.independent and current.independent[0] > n:
             current = _step(graph, TI, current)
-            indep_budget -= 1
         states.append(current)
         if current.clique[0] <= n + d - 1:
             raise InternalError("burning stalled: maximal clique vertex is stable")
         current = _step(graph, TK, current)
     while current.independent and current.independent[0] > n:
         current = _step(graph, TI, current)
-        indep_budget -= 1
-    if indep_budget != 0 or current != config:
+    # Ts, TK, TI add d, d, -(n+1) to the independent sum: closing up forces d TI's
+    if current != config:
         raise InternalError("burning decomposition did not close up")
 
     members = []
+    # no weight is negative: Ts and TI add 1 to clique entries, TK takes n+d from one >= n+d
     for state in states:
-        w = weight(graph, state)
-        for _ in range(w):
+        for _ in range(weight(graph, state)):
             state = _step(graph, TW, state)
-        for _ in range(-w):
-            state = _step(graph, TW_INV, state)
         if not (is_nonnegative(state) and is_quasistable(graph, state)):
             raise InternalError("weight normalization missed the quasi-stable window")
         members.append(state)
@@ -265,6 +259,4 @@ def class_members(graph: SplitGraph, config: Config) -> list[Config]:
     sinks = {sink_height(m) % (n + d + 1) for m in members}
     if len(members) != n + 1 or len(set(members)) != n + 1 or len(sinks) != n + 1:
         raise InternalError("class members are not n+1 distinct configurations")
-    if members[0] != config:
-        raise InternalError("the recurrent configuration must head its own class")
     return members

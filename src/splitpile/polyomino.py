@@ -10,6 +10,7 @@ recurrent configurations map onto them directly.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,6 +19,7 @@ from .asm import (
     InternalError,
     PreconditionError,
     SplitGraph,
+    _reading_json,
     _require_sorted_recurrent,
 )
 from . import schroder
@@ -43,6 +45,8 @@ class SawtoothPolyomino:
         n, d = self.n, self.d
         if n < 1 or d < 0:
             raise PreconditionError(f"bad dimension ({n + 1}, {d})")
+        if not (isinstance(self.upper, str) and isinstance(self.lower, str)):
+            raise PreconditionError("upper and lower are step strings")
         if set(self.upper) - set("NS") or set(self.lower) - set("WS"):
             raise PreconditionError("upper is over NS and lower over WS")
         if self.upper.count("N") != n + 1 or self.upper.count("S") != n + 1 + d:
@@ -86,8 +90,9 @@ class SawtoothPolyomino:
 
 
 def polyomino_from_json(obj: dict) -> SawtoothPolyomino:
-    n_plus_1, d = obj["dim"]
-    return SawtoothPolyomino(int(n_plus_1) - 1, int(d), obj["upper"], obj["lower"])
+    with _reading_json("polyomino"):
+        n_plus_1, d = map(operator.index, obj["dim"])
+        return SawtoothPolyomino(n_plus_1 - 1, d, obj["upper"], obj["lower"])
 
 
 def sts(word: str) -> SawtoothPolyomino:

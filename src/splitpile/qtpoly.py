@@ -1,14 +1,18 @@
-"""Exact bivariate q,t-polynomials, computed five independent ways.
+"""Exact bivariate q,t-polynomials, computed five ways.
 
 The generating function of (level, delayed toppling time) over sorted
 recurrent configurations can be computed by brute force for either
 toppling order (f_cti, f_itc), as the (area, bounce) sum over Schroder
 words (qt_schroder), or by two explicit sums over composition pairs
-(egge_sum, itc_sum).  All five agree; the CTI one conjecturally.
+(egge_sum, itc_sum).  All five agree; the CTI one conjecturally.  With
+alpha_i = p'_i and beta_{i-1} = q'_i the two explicit sums are the same
+memoized recursion, so their agreement checks only how each closes the
+last round; f_itc, f_cti and qt_schroder are the independent references.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product, zip_longest
@@ -18,6 +22,7 @@ from .asm import (
     InternalError,
     PreconditionError,
     SplitGraph,
+    _reading_json,
     enumerate_sorted_recurrent,
     level,
 )
@@ -106,7 +111,9 @@ class QtPolynomial:
 
     @classmethod
     def from_json(cls, obj: dict) -> "QtPolynomial":
-        return cls({(int(t["q"]), int(t["t"])): int(t["c"]) for t in obj["terms"]})
+        with _reading_json("polynomial"):
+            index = operator.index
+            return cls({(index(t["q"]), index(t["t"])): index(t["c"]) for t in obj["terms"]})
 
     def to_latex(self) -> str:
         """Total degree descending; within a degree the q-heavy member of

@@ -250,12 +250,12 @@ def word_le(w1: str, w2: str) -> bool:
     Comparing the sets of lower triangles alone cannot distinguish words
     such as UDH and HUD, so the region below the path (both half
     triangles of every cell) is what is compared; column profiles encode
-    it exactly.
+    it exactly.  Only words of the same size n+d are comparable.
     """
-    return all(
-        lo1 <= lo2 and hi1 <= hi2
-        for (lo1, hi1), (lo2, hi2) in zip(column_profile(w1), column_profile(w2))
-    )
+    p1, p2 = column_profile(w1), column_profile(w2)
+    if len(p1) != len(p2):
+        raise PreconditionError(f"words {w1!r} and {w2!r} differ in size")
+    return all(lo1 <= lo2 and hi1 <= hi2 for (lo1, hi1), (lo2, hi2) in zip(p1, p2))
 
 
 # ---------------------------------------------------------------------------

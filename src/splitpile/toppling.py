@@ -10,11 +10,18 @@ vertex topples exactly once and the original configuration returns.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import accumulate, combinations_with_replacement
 from typing import Iterator
 
-from .asm import Config, PreconditionError, SplitGraph, _require_sorted_recurrent
+from .asm import (
+    Config,
+    PreconditionError,
+    SplitGraph,
+    _reading_json,
+    _require_sorted_recurrent,
+)
 
 CTI = "CTI"
 ITC = "ITC"
@@ -100,14 +107,15 @@ def trace_to_json(trace: ToppleTrace) -> dict:
 
 
 def trace_from_json(obj: dict) -> ToppleTrace:
-    mode = obj["mode"]
-    if mode not in (CTI, ITC):
-        raise PreconditionError(f"unknown trace mode {mode!r}")
-    rounds = []
-    for r in obj["rounds"]:
-        clique = tuple(i - 1 for i in r["clique"])
-        indep = tuple(j - 1 for j in r["independent"])
-        rounds.append((clique, indep) if mode == CTI else (indep, clique))
+    with _reading_json("trace"):
+        mode = obj["mode"]
+        if mode not in (CTI, ITC):
+            raise PreconditionError(f"unknown trace mode {mode!r}")
+        rounds = []
+        for r in obj["rounds"]:
+            clique = tuple(operator.index(i) - 1 for i in r["clique"])
+            indep = tuple(operator.index(j) - 1 for j in r["independent"])
+            rounds.append((clique, indep) if mode == CTI else (indep, clique))
     return ToppleTrace(mode, tuple(rounds))
 
 
@@ -166,8 +174,8 @@ def itc_sequence_of_sizes(sizes: tuple[int, ...]) -> ItcSequence:
 def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """Weak compositions in lexicographic order: the gaps between
     parts - 1 weakly increasing cut points in 0..total."""
-    if parts == 0:
-        if total == 0:
+    if parts == 0 or total < 0:
+        if parts == total == 0:
             yield ()
         return
     for cuts in combinations_with_replacement(range(total + 1), parts - 1):
@@ -187,6 +195,8 @@ def enumerate_itc_sequences(n: int, d: int) -> dict[int, list[ItcSequence]]:
     before the last spot, the independent counts a weak composition of
     d, and the final round is non-empty (length 1 is exactly [(d), (n)]).
     """
+    if n < 1 or d < 0:
+        raise PreconditionError(f"need n >= 1 and d >= 0, got ({n}, {d})")
     out: dict[int, list[ItcSequence]] = {}
     for k in range(1, n + 2):
         found: list[ItcSequence] = []

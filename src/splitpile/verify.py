@@ -25,7 +25,9 @@ from .asm import (
     enumerate_sorted_recurrent,
     format_config,
     height,
+    is_nonnegative,
     is_recurrent,
+    is_sorted_config,
     is_stable,
     level,
     sorted_recurrent_count,
@@ -245,27 +247,29 @@ def check_burning_returns(n: int, d: int) -> dict | None:
 
 
 def check_cycle_lemma(n: int, d: int) -> dict | None:
+    """One class at a time: n+1 distinct sorted quasi-stable non-negative
+    (QSN) members, v its only recurrent one and every member's
+    representative.  That map is a function, so the classes are disjoint;
+    they cover QSN iff their sizes add up to its streamed count and closed form."""
     graph = SplitGraph(n, d)
-    qsn = cl.enumerate_quasistable_nonneg(graph)
-    if len(qsn) != cl.count_quasistable_nonneg(n, d):
-        return {"count": len(qsn)}
-    owner: dict[Config, Config] = {}
+    counted = 0
     for v in enumerate_sorted_recurrent(graph):
         members = cl.class_members(graph, v)
         recurrent_members = [
             m for m in members if is_stable(graph, m) and is_recurrent(graph, m)
         ]
-        if len(members) != n + 1 or recurrent_members != [v]:
+        if not len(members) == len(set(members)) == n + 1 or recurrent_members != [v]:
             return {"config": format_config(v)}
         for m in members:
-            if m in owner:
-                return {"config": format_config(m), "overlap": True}
-            owner[m] = v
-    if set(owner) != set(qsn):
-        return {"uncovered": len(set(qsn) - set(owner))}
-    for m in qsn:
-        if cl.recurrent_representative(graph, m) != owner[m]:
-            return {"config": format_config(m), "representative": True}
+            if not (is_sorted_config(m) and is_nonnegative(m) and cl.is_quasistable(graph, m)):
+                return {"config": format_config(m), "window": True}
+            if cl.recurrent_representative(graph, m) != v:
+                return {"config": format_config(m), "representative": True}
+        counted += n + 1
+    streamed = sum(1 for _ in cl.iter_quasistable_nonneg(graph))
+    formula = cl.count_quasistable_nonneg(n, d)
+    if not counted == streamed == formula:
+        return {"count": counted, "streamed": streamed, "formula": formula}
     return None
 
 

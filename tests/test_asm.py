@@ -91,6 +91,16 @@ def test_json_roundtrip():
     assert config_from_json(obj) == (G22, c)
     with pytest.raises(PreconditionError):
         config_from_json({"n": 2, "d": 2, "clique": [3], "independent": [2, 2]})
+    for bad in (
+        {"n": 2},
+        {"n": 2, "d": 2, "clique": [3, "x"], "independent": [2, 2]},
+        {"n": 2, "d": 2, "clique": [3, 3.5], "independent": [2, 2]},
+        {"n": "2", "d": 2, "clique": [3, 3], "independent": [2, 2]},
+        {"n": 2, "d": 2, "clique": 3, "independent": [2, 2]},
+        [2, 2],
+    ):
+        with pytest.raises(PreconditionError, match="bad configuration JSON"):
+            config_from_json(bad)
 
 
 def test_entry_points_share_the_shape_check(capsys):
@@ -130,6 +140,9 @@ def test_topple_clique_and_independent():
         topple(G22, Config((0, 0), (0, 0)), 0)  # stable vertex
     with pytest.raises(PreconditionError):
         topple(G22, Config((4, 0), (0, 0)), 9)
+    for vertex in ("x", "0", 1.5, None):
+        with pytest.raises(PreconditionError, match="neither SINK nor an integer"):
+            topple(G22, Config((4, 4), (0, 0)), vertex)
 
 
 def test_stabilize_examples():

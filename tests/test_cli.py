@@ -268,6 +268,14 @@ def test_poly_all_agree(capsys):
     assert json.loads(out.splitlines()[1]) == {"terms": [{"q": 0, "t": 0, "c": 1}]}
 
 
+def test_poly_all_latex_states_the_agreement_first(capsys):
+    code, out, _ = run_cli(capsys, "poly", "-n", "2", "-d", "2", "--method", "all", "--format", "latex")
+    assert code == 0
+    header, poly, *rest = out.splitlines()
+    assert header == "% 5 methods agree"
+    assert poly.startswith("q^5 + t^5 + q^4t") and not rest
+
+
 def test_verify_small(capsys):
     code, out, err = run_cli(capsys, "verify", "cycle-lemma", "--max-n", "2", "--max-d", "2")
     assert code == 0
@@ -322,6 +330,19 @@ def test_verify_conjecture_counterexample_exit_code(capsys, monkeypatch):
     assert code == 10
     reports = [json.loads(line) for line in out.strip().splitlines()]
     assert any(r["status"] == "fail" and "counterexample" in r for r in reports)
+
+
+def test_verify_failed_theorem_check_exit_code(capsys, monkeypatch):
+    from splitpile import verify as vf
+
+    broken = dict(vf._CHECK_FUNCS)
+    broken["weight_laws"] = lambda n, d: {"config": "0", "law": "decrement"}
+    monkeypatch.setattr(vf, "_CHECK_FUNCS", broken)
+    code, out, err = run_cli(capsys, "--jobs", "1", "verify", "cycle-lemma", "--max-n", "1", "--max-d", "0")
+    assert code == 4
+    statuses = [json.loads(line)["status"] for line in out.strip().splitlines()]
+    assert statuses == ["pass", "fail", "pass"]
+    assert err == "2/3 checks passed\n"
 
 
 def _raise_internal(*_args):

@@ -171,6 +171,17 @@ def test_json_roundtrip():
     assert polyomino_from_json(obj) == p
     assert hash(polyomino_from_json(obj)) == hash(p)
     assert polyomino_from_json(json.loads(json.dumps(obj))) == p
+    for bad in (
+        {"dim": [3]},
+        {"dim": [5, 5]},
+        {"dim": ["5", 5], "upper": p.upper, "lower": p.lower},
+        {"dim": 5, "upper": p.upper, "lower": p.lower},
+    ):
+        with pytest.raises(PreconditionError, match="bad polyomino JSON"):
+            polyomino_from_json(bad)
+    for upper, lower in ((7, p.lower), (list(p.upper), list(p.lower))):
+        with pytest.raises(PreconditionError, match="step strings"):
+            polyomino_from_json({"dim": [5, 5], "upper": upper, "lower": lower})
 
 
 def test_render_svg_deterministic():

@@ -54,6 +54,15 @@ def test_qtpolynomial_json():
     obj = POLY_22.to_json()
     assert obj["terms"][0] == {"q": 5, "t": 0, "c": 1}
     assert QtPolynomial.from_json(obj) == POLY_22
+    for bad in (
+        {"terms": [{"q": 1, "c": 1}]},
+        {"terms": [{"q": 1, "t": 0, "c": "1"}]},
+        {"terms": [{"q": 0.5, "t": 0, "c": 1}]},
+        {"terms": 3},
+        {},
+    ):
+        with pytest.raises(PreconditionError, match="bad polynomial JSON"):
+            QtPolynomial.from_json(bad)
 
 
 def test_latex_matches_printed_ordering():

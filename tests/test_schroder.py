@@ -256,6 +256,16 @@ def test_word_order():
         assert word_le(w, w)
 
 
+def test_word_order_compares_only_words_of_one_size():
+    with pytest.raises(PreconditionError, match="differ in size"):
+        word_le("UD", "UUDD")
+    with pytest.raises(PreconditionError, match="differ in size"):
+        word_le("UUDD", "H")
+    # the same size n+d with another n/d split stays comparable
+    assert word_le("UDH", "UUDD")
+    assert not word_le("UUDD", "UDH")
+
+
 def test_column_profile_identifies_word():
     seen = {}
     for w in enumerate_schroder(3, 2):

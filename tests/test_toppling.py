@@ -17,6 +17,7 @@ from splitpile.toppling import (
     ItcSequence,
     all_itc_sequences,
     canonical_config,
+    compositions,
     count_ehkk,
     count_itc,
     cti_sizes,
@@ -221,6 +222,29 @@ def test_enumerate_itc_sequences_edge_cases():
     # formula total for (3,1): sum_k C(1+k,1) C(2,k-1) = 2 + 6 + 4 = 12
     seqs = all_itc_sequences(3, 1)
     assert len(seqs) == 12 == count_itc(3, 1)
+
+
+def test_compositions_have_no_zero_parts_and_sequences_need_a_graph():
+    assert list(compositions(0, 1)) == []
+    assert list(compositions(3, 1)) == [(3,)]
+    assert list(compositions(0, 0)) == [()]
+    for n, d in [(2, -1), (0, 0), (0, 2)]:
+        for call in (enumerate_itc_sequences, all_itc_sequences, count_itc):
+            with pytest.raises(PreconditionError, match=r"need n >= 1 and d >= 0"):
+                call(n, d)
+
+
+def test_trace_from_json_rejects_malformed_objects():
+    good = trace_to_json(topple_itc(G53, C53))
+    for bad in (
+        {"mode": "CTI"},
+        {"mode": "ITC", "rounds": [{"clique": [1]}]},
+        {"mode": "ITC", "rounds": [{"clique": ["1"], "independent": []}]},
+        {**good, "rounds": [{"clique": [1.5], "independent": []}]},
+        [],
+    ):
+        with pytest.raises(PreconditionError, match="bad trace JSON"):
+            trace_from_json(bad)
 
 
 def test_sequences_match_toppling_images():

@@ -1,6 +1,13 @@
+import tracemalloc
+
+import pytest
+
+from splitpile import cycle_lemma as cl
+from splitpile.asm import Config, SplitGraph, enumerate_sorted_recurrent
 from splitpile.verify import (
     CONJECTURE_CHECKS,
     SUITES,
+    check_cycle_lemma,
     list_tasks,
     run_suite,
     run_task,
@@ -61,3 +68,70 @@ def test_failed_reports_carry_counterexamples():
     assert rep.to_json()["counterexample"] == {"config": "0"}
     ok = VerificationReport("demo", {}, "pass")
     assert "counterexample" not in ok.to_json()
+
+
+def test_cycle_lemma_check_holds_one_class_at_a_time():
+    # the enumeration cache is shared by every check, so it is filled first
+    enumerate_sorted_recurrent(SplitGraph(4, 3))
+    tracemalloc.start()
+    try:
+        assert check_cycle_lemma(4, 3) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+# each fault wraps the real cycle_lemma function it replaces
+def _representative_returns_its_input(real):
+    return lambda graph, config: config
+
+
+def _member_duplicated(real):
+    def members(graph, v):
+        *head, _last = real(graph, v)
+        return head + head[:1]
+
+    return members
+
+
+def _member_outside_the_window(real):
+    def members(graph, v):
+        *head, last = real(graph, v)
+        top = last.clique[0] + graph.n + graph.d + 1
+        return head + [Config((top,) + last.clique[1:], last.independent)]
+
+    return members
+
+
+def _member_swapped_from_the_next_class(real):
+    g = SplitGraph(2, 2)
+    first, second = enumerate_sorted_recurrent(g)[:2]
+    stranger = real(g, second)[-1]
+
+    def members(graph, v):
+        *head, last = real(graph, v)
+        return head + [stranger if v == first else last]
+
+    return members
+
+
+def _count_off_by_one(real):
+    return lambda n, d: real(n, d) + 1
+
+
+@pytest.mark.parametrize(
+    "name, fault, key",
+    [
+        ("recurrent_representative", _representative_returns_its_input, "representative"),
+        ("class_members", _member_duplicated, "config"),
+        ("class_members", _member_outside_the_window, "window"),
+        ("class_members", _member_swapped_from_the_next_class, "representative"),
+        ("count_quasistable_nonneg", _count_off_by_one, "formula"),
+    ],
+)
+def test_cycle_lemma_check_reports_each_fault(monkeypatch, name, fault, key):
+    assert check_cycle_lemma(2, 2) is None
+    monkeypatch.setattr(cl, name, fault(getattr(cl, name)))
+    counterexample = check_cycle_lemma(2, 2)
+    assert counterexample is not None and key in counterexample
