@@ -504,8 +504,7 @@ def sorted_recurrent_count(n: int, d: int) -> int:
     Both printed forms are computed and must agree:
     C(2n+d, n) C(n+d, n) / (n+1)  ==  C(2n+1, n) C(2n+d, d) / (2n+1).
     """
-    if n < 1 or d < 0:
-        raise PreconditionError(f"need n >= 1 and d >= 0, got ({n}, {d})")
+    SplitGraph(n, d)  # refuses a bad shape
     num1 = math.comb(2 * n + d, n) * math.comb(n + d, n)
     if num1 % (n + 1):
         raise InternalError("count formula is not divisible by n+1")

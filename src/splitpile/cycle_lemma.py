@@ -4,10 +4,10 @@ Configurations here may carry negative entries; the sink height is
 implicit as minus the total.  On sorted *compact* configurations
 (clique spread at most n+d+1, independent spread at most n+1) the
 topple-max-then-sort operators act by closed formulas, are invertible,
-and satisfy Ts TK^n TI^d = Id.  Counting sorted quasi-stable
-non-negative configurations and partitioning them into classes of size
-n+1 with exactly one recurrent member yields the closed-form count of
-sorted recurrent configurations.
+and satisfy Ts TK^n TI^d = Id.  The sorted quasi-stable non-negative
+configurations split into the orbits of one cyclic shift sigma =
+Ts TI^k TW^w, each of size n+1 with exactly one recurrent member; that
+yields the closed-form count of sorted recurrent configurations.
 """
 
 from __future__ import annotations
@@ -159,6 +159,7 @@ def identity_check(graph: SplitGraph, config: Config) -> bool:
 # ---------------------------------------------------------------------------
 
 def count_quasistable_nonneg(n: int, d: int) -> int:
+    SplitGraph(n, d)  # refuses a bad shape
     return math.comb(2 * n + d, n) * math.comb(n + d, n)
 
 
@@ -217,46 +218,35 @@ def class_report(graph: SplitGraph) -> list[list[str]]:
     ]
 
 
+def _shift(graph: SplitGraph, config: Config) -> Config:
+    """The cyclic shift sigma = Ts TI^k TW^w of the sorted quasi-stable
+    non-negative configurations: every vertex gains a grain, the k
+    independent entries that pass n wrap to 0 and give every clique
+    vertex a grain each, and the w clique entries that pass n+d wrap.
+    That is Ts, then TI while b_0 > n, then TW while a_0 > n+d, in
+    closed form (TK = TW Ts), so sigma keeps the toppling class."""
+    n, m = graph.n, graph.n + graph.d + 1
+    k = config.independent.count(n)
+    return Config(
+        tuple(sorted(((x + 1 + k) % m for x in config.clique), reverse=True)),
+        tuple(sorted(((y + 1) % (n + 1) for y in config.independent), reverse=True)),
+    )
+
+
 def class_members(graph: SplitGraph, config: Config) -> list[Config]:
     """The n+1 sorted quasi-stable non-negative configurations that are
-    toppling-and-permuting equivalent to a sorted recurrent one.
-
-    Walks the burning decomposition Ts TI^k0 (TK TI^k1) ... (TK TI^kn)
-    with independent topplings taken eagerly, records the state before
-    each sink/clique operator, and normalizes each state by the weight
-    operator.  The input is the first member; validity and distinctness
-    are enforced.
+    toppling-and-permuting equivalent to a sorted recurrent one: its
+    orbit v, sigma v, ..., sigma^n v under :func:`_shift`.  That
+    sigma^(n+1) v = v and that the members are distinct are enforced.
     """
     n, d = graph.n, graph.d
-    # a sorted recurrent configuration is compact: its clique spread is at
-    # most n+d-1 and its independent spread at most n
     _require_sorted_recurrent(graph, config)
-
-    states = [config]
-    current = _step(graph, TS, config)
+    members = [config]
     for _ in range(n):
-        while current.independent and current.independent[0] > n:
-            current = _step(graph, TI, current)
-        states.append(current)
-        if current.clique[0] <= n + d - 1:
-            raise InternalError("burning stalled: maximal clique vertex is stable")
-        current = _step(graph, TK, current)
-    while current.independent and current.independent[0] > n:
-        current = _step(graph, TI, current)
-    # Ts, TK, TI add d, d, -(n+1) to the independent sum: closing up forces d TI's
-    if current != config:
-        raise InternalError("burning decomposition did not close up")
-
-    members = []
-    # no weight is negative: Ts and TI add 1 to clique entries, TK takes n+d from one >= n+d
-    for state in states:
-        for _ in range(weight(graph, state)):
-            state = _step(graph, TW, state)
-        if not (is_nonnegative(state) and is_quasistable(graph, state)):
-            raise InternalError("weight normalization missed the quasi-stable window")
-        members.append(state)
-
+        members.append(_shift(graph, members[-1]))
+    if _shift(graph, members[-1]) != config:
+        raise InternalError(f"the shift does not return to {config} after n+1 steps")
     sinks = {sink_height(m) % (n + d + 1) for m in members}
-    if len(members) != n + 1 or len(set(members)) != n + 1 or len(sinks) != n + 1:
+    if len(set(members)) != n + 1 or len(sinks) != n + 1:
         raise InternalError("class members are not n+1 distinct configurations")
     return members

@@ -246,8 +246,7 @@ def egge_sum(n: int, d: int) -> QtPolynomial:
     evaluated step by step, memoized on (alpha left, beta left, last
     alpha part), instead of term by term.
     """
-    if n < 1 or d < 0:
-        raise PreconditionError("need n >= 1 and d >= 0")
+    SplitGraph(n, d)  # refuses a bad shape
 
     @lru_cache(maxsize=None)
     def rest(clique: int, indep: int, prev: int) -> QtPolynomial:
@@ -281,8 +280,7 @@ def itc_sum(n: int, d: int) -> QtPolynomial:
     (clique left, independent left, previous a), instead of sequence by
     sequence.
     """
-    if n < 1 or d < 0:
-        raise PreconditionError("need n >= 1 and d >= 0")
+    SplitGraph(n, d)  # refuses a bad shape
 
     @lru_cache(maxsize=None)
     def rounds(clique: int, indep: int, prev: int) -> QtPolynomial:

@@ -107,16 +107,34 @@ def trace_to_json(trace: ToppleTrace) -> dict:
 
 
 def trace_from_json(obj: dict) -> ToppleTrace:
+    """Read :func:`trace_to_json`'s form.  The JSON names no n and d, so
+    only labels below 1 and labels repeated within a part (each vertex
+    topples once) can be refused."""
     with _reading_json("trace"):
         mode = obj["mode"]
         if mode not in (CTI, ITC):
             raise PreconditionError(f"unknown trace mode {mode!r}")
         rounds = []
+        seen_clique: set[int] = set()
+        seen_indep: set[int] = set()
         for r in obj["rounds"]:
-            clique = tuple(operator.index(i) - 1 for i in r["clique"])
-            indep = tuple(operator.index(j) - 1 for j in r["independent"])
+            clique = _indices(r["clique"], "clique", seen_clique)
+            indep = _indices(r["independent"], "independent", seen_indep)
             rounds.append((clique, indep) if mode == CTI else (indep, clique))
     return ToppleTrace(mode, tuple(rounds))
+
+
+def _indices(labels, part: str, seen: set[int]) -> tuple[int, ...]:
+    """0-based indices of one round's 1-based labels of one part."""
+    out = []
+    for label in map(operator.index, labels):
+        if label < 1:
+            raise PreconditionError(f"{part} label {label} names no vertex")
+        if label in seen:
+            raise PreconditionError(f"{part} vertex {label} topples twice in the trace")
+        seen.add(label)
+        out.append(label - 1)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +213,7 @@ def enumerate_itc_sequences(n: int, d: int) -> dict[int, list[ItcSequence]]:
     before the last spot, the independent counts a weak composition of
     d, and the final round is non-empty (length 1 is exactly [(d), (n)]).
     """
-    if n < 1 or d < 0:
-        raise PreconditionError(f"need n >= 1 and d >= 0, got ({n}, {d})")
+    SplitGraph(n, d)  # refuses a bad shape
     out: dict[int, list[ItcSequence]] = {}
     for k in range(1, n + 2):
         found: list[ItcSequence] = []
@@ -258,8 +275,7 @@ def _comb(m: int, k: int) -> int:
 
 def count_itc(n: int, d: int, k: int | None = None) -> int:
     """Number of ITC toppling sequences on S(n, d), per length or in total."""
-    if n < 1 or d < 0:
-        raise PreconditionError(f"need n >= 1 and d >= 0, got ({n}, {d})")
+    SplitGraph(n, d)  # refuses a bad shape
     if k is None:
         return sum(count_itc(n, d, j) for j in range(1, n + 2))
     if k < 1:
@@ -272,8 +288,7 @@ def count_itc(n: int, d: int, k: int | None = None) -> int:
 def count_ehkk(n: int, d: int, k: int | None = None) -> int:
     """Number of (composition, weak composition) pairs in the explicit
     q,t-Schroder sum, per length or in total; the total matches count_itc."""
-    if n < 1 or d < 0:
-        raise PreconditionError(f"need n >= 1 and d >= 0, got ({n}, {d})")
+    SplitGraph(n, d)  # refuses a bad shape
     if k is None:
         return sum(count_ehkk(n, d, j) for j in range(1, n + 1))
     if k < 1:

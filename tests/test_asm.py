@@ -288,6 +288,27 @@ def test_streaming_first_config_without_building_the_set():
     assert _enumerate_cached.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("n, d", [(0, 1), (2, -1), (-1, 0)])
+def test_every_shape_entry_point_gives_one_message(n, d):
+    from splitpile.cycle_lemma import count_quasistable_nonneg
+    from splitpile.qtpoly import egge_sum, itc_sum
+    from splitpile.toppling import count_ehkk, count_itc, enumerate_itc_sequences
+
+    entry_points = (
+        sorted_recurrent_count,
+        enumerate_itc_sequences,
+        count_itc,
+        count_ehkk,
+        egge_sum,
+        itc_sum,
+        count_quasistable_nonneg,
+    )
+    for fn in entry_points:
+        with pytest.raises(PreconditionError) as info:
+            fn(n, d)
+        assert str(info.value) == f"need n >= 1 and d >= 0, got ({n}, {d})", fn.__name__
+
+
 def test_counts():
     assert sorted_recurrent_count(2, 2) == 30
     assert sorted_recurrent_count(1, 0) == 1

@@ -10,6 +10,7 @@ from splitpile.asm import (
     PreconditionError,
     SplitGraph,
     enumerate_sorted_recurrent,
+    format_config,
     is_recurrent,
     is_stable,
     parse_config,
@@ -35,6 +36,7 @@ from splitpile.cycle_lemma import (
     sink_height,
     spread,
     weight,
+    _shift,
 )
 
 G22 = SplitGraph(2, 2)
@@ -247,3 +249,50 @@ def test_representative_identifies_classes():
             owner[m] = v
     for m in enumerate_quasistable_nonneg(g):
         assert recurrent_representative(g, m) == owner[m]
+
+
+def test_shift_permutes_quasistable_in_cycles_of_n_plus_1():
+    for n in range(1, 5):
+        for d in range(4):
+            g = SplitGraph(n, d)
+            qsn = set(enumerate_quasistable_nonneg(g))
+            assert {_shift(g, u) for u in qsn} == qsn
+            unseen = set(qsn)
+            while unseen:
+                cycle = [unseen.pop()]
+                while (nxt := _shift(g, cycle[-1])) != cycle[0]:
+                    cycle.append(nxt)
+                unseen -= set(cycle)
+                assert len(cycle) == n + 1
+                recurrent = [u for u in cycle if is_stable(g, u) and is_recurrent(g, u)]
+                assert len(recurrent) == 1
+
+
+def test_shift_is_ts_then_ti_then_tw():
+    for n in range(1, 5):
+        for d in range(4):
+            g = SplitGraph(n, d)
+            for u in enumerate_quasistable_nonneg(g):
+                w = cycle_lemma._step(g, TS, u)
+                while w.independent and w.independent[0] > n:
+                    w = cycle_lemma._step(g, TI, w)
+                while w.clique[0] > n + d:
+                    w = cycle_lemma._step(g, TW, w)
+                assert _shift(g, u) == w
+
+
+def test_class_members_pinned_order():
+    pinned = {
+        (2, 2, "3,3;2,2"): ["3,3;2,2", "1,1;0,0", "2,2;1,1"],
+        (5, 3, "7,6,5,2,1;5,4,4"): [
+            "7,6,5,2,1;5,4,4",
+            "8,7,4,3,0;5,5,0",
+            "7,6,3,2,1;1,0,0",
+            "8,7,4,3,2;2,1,1",
+            "8,5,4,3,0;3,2,2",
+            "6,5,4,1,0;4,3,3",
+        ],
+    }
+    for (n, d, text), members in pinned.items():
+        got = class_members(SplitGraph(n, d), parse_config(text))
+        assert [format_config(m) for m in got] == members

@@ -15,6 +15,7 @@ from splitpile.toppling import (
     CTI,
     ITC,
     ItcSequence,
+    ToppleTrace,
     all_itc_sequences,
     canonical_config,
     compositions,
@@ -245,6 +246,22 @@ def test_trace_from_json_rejects_malformed_objects():
     ):
         with pytest.raises(PreconditionError, match="bad trace JSON"):
             trace_from_json(bad)
+
+
+def test_trace_from_json_rejects_labels_that_name_no_vertex():
+    bad_label = {"mode": "CTI", "rounds": [{"clique": [0, 0, 99], "independent": [-4]}]}
+    with pytest.raises(PreconditionError, match="clique label 0 names no vertex"):
+        trace_from_json(bad_label)
+    repeated = {
+        "mode": "ITC",
+        "rounds": [{"clique": [1], "independent": [2]}, {"clique": [], "independent": [2]}],
+    }
+    with pytest.raises(PreconditionError, match="independent vertex 2 topples twice"):
+        trace_from_json(repeated)
+    # the two parts label their vertices separately
+    assert trace_from_json(
+        {"mode": "CTI", "rounds": [{"clique": [1], "independent": [1]}]}
+    ) == ToppleTrace(CTI, (((0,), (0,)),))
 
 
 def test_sequences_match_toppling_images():
