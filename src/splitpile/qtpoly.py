@@ -4,10 +4,11 @@ The generating function of (level, delayed toppling time) over sorted
 recurrent configurations can be computed by brute force for either
 toppling order (f_cti, f_itc), as the (area, bounce) sum over Schroder
 words (qt_schroder), or by two explicit sums over composition pairs
-(egge_sum, itc_sum).  All five agree; the CTI one conjecturally.  With
-alpha_i = p'_i and beta_{i-1} = q'_i the two explicit sums are the same
-memoized recursion, so their agreement checks only how each closes the
-last round; f_itc, f_cti and qt_schroder are the independent references.
+(egge_sum, itc_sum).  All five agree; the CTI one conjecturally.  The two
+explicit sums are one round recursion, _round_sum, with two ways of
+writing its factor, so their agreement checks only the q-multinomial's
+symmetry and EHKK's parametrization; f_itc, f_cti and qt_schroder are
+the independent references.
 """
 
 from __future__ import annotations
@@ -41,9 +42,16 @@ class QtPolynomial:
     def __init__(self, terms: dict[tuple[int, int], int] | None = None):
         clean = {}
         if terms:
-            for (qe, te), c in terms.items():
-                if c:
-                    clean[(int(qe), int(te))] = c
+            index = operator.index  # refuses strings, floats and fractions
+            try:
+                for (qe, te), c in terms.items():
+                    c = index(c)
+                    if c:
+                        clean[(index(qe), index(te))] = c
+            except TypeError as exc:
+                raise PreconditionError(
+                    f"a polynomial needs integer exponents and coefficients ({exc})"
+                ) from None
         self.terms = clean
 
     @classmethod
@@ -184,7 +192,7 @@ def q_binomial(m: int, k: int) -> QtPolynomial:
 def q_multinomial(a: int, b: int, c: int) -> QtPolynomial:
     """[a+b+c choose a, b, c]_q = [a+b+c choose a]_q [b+c choose b]_q."""
     if a < 0 or b < 0 or c < 0:
-        raise PreconditionError("multinomial arguments must be non-negative")
+        raise PreconditionError(f"need a, b, c >= 0, got ({a}, {b}, {c})")
     return q_binomial(a + b + c, a) * q_binomial(b + c, b)
 
 
@@ -215,9 +223,7 @@ def f_itc(n: int, d: int) -> QtPolynomial:
 def qt_schroder(n: int, d: int) -> QtPolynomial:
     """Sum of q^area t^bounce over Schroder words with n U's and d H's."""
     if n < 0 or d < 0:
-        raise PreconditionError("need n, d >= 0")
-    if n == 0:
-        return QtPolynomial.one()  # the single word H^d has area 0 and bounce 0
+        raise PreconditionError(f"need n >= 0 and d >= 0, got ({n}, {d})")
     out: dict[tuple[int, int], int] = {}
     for w in schroder.enumerate_schroder(n, d):
         key = (schroder.area(w), schroder.schroder_bounce(w))
@@ -232,53 +238,16 @@ def _add_shifted(out: dict[tuple[int, int], int], poly: QtPolynomial, qexp: int,
         out[key] = out.get(key, 0) + c
 
 
-def egge_sum(n: int, d: int) -> QtPolynomial:
-    """Explicit composition sum for the q,t-Schroder polynomial.
+def _round_sum(n: int, d: int, factor) -> QtPolynomial:
+    """Sum over ITC round sequences of S(n, d), one round at a time.
 
-    Sums over strict compositions alpha of n (length k) and weak
-    compositions beta of d (length k+1) the term
-    q^(sum C(alpha_i,2)) t^(sum_i i beta_i + sum_i (i-1) alpha_i)
-    prod_{i<k} [beta_i, alpha_{i+1}, alpha_i-1] [beta_k+alpha_k-1; beta_k]
-    with alpha_0 = 1, so the first factor is [beta_0+alpha_1; beta_0].
-
-    The t-exponent charges t^(vertices still to place) after each of the
-    steps (beta_0, alpha_1), ..., (beta_{k-1}, alpha_k), so the sum is
-    evaluated step by step, memoized on (alpha left, beta left, last
-    alpha part), instead of term by term.
-    """
-    SplitGraph(n, d)  # refuses a bad shape
-
-    @lru_cache(maxsize=None)
-    def rest(clique: int, indep: int, prev: int) -> QtPolynomial:
-        # the steps after alpha_i = prev, with clique and indep units left
-        out: dict[tuple[int, int], int] = {}
-        if clique == 0:  # close with beta_k = indep
-            _add_shifted(out, q_binomial(indep + prev - 1, indep), 0, 0)
-        for alpha in range(1, clique + 1):
-            for beta in range(indep + 1):
-                left = clique - alpha + indep - beta
-                step = q_multinomial(beta, alpha, prev - 1) * rest(clique - alpha, indep - beta, alpha)
-                _add_shifted(out, step, alpha * (alpha - 1) // 2, left)
-        return QtPolynomial(out)
-
-    try:
-        return rest(n, d, 1)
-    finally:
-        rest.cache_clear()
-
-
-def itc_sum(n: int, d: int) -> QtPolynomial:
-    """Toppling-sequence sum for the q,t-ITC polynomial.
-
-    One term per ITC toppling sequence (:func:`itc_sum_term`): a product
-    over rounds of q^C(a_i,2) [a_i+b_i+a_{i-1}-1 choose a_i, b_i, a_{i-1}-1]_q
-    t^((i-1)(a_i+b_i)) with a_0 = 1.  Stated for d >= 1; the d = 0 case
-    uses the same formula with all b_i = 0.
-
-    The t-exponent charges t^(vertices not yet toppled) after every
-    non-final round, so the sum is evaluated round by round, memoized on
-    (clique left, independent left, previous a), instead of sequence by
-    sequence.
+    A round topples a clique and b independent vertices after a round
+    that toppled prev clique vertices (prev = 1 before the first round,
+    for the sink); only the last round may topple no clique vertex.  It
+    contributes q^C(a,2) t^left factor(a, b, prev - 1), where left counts
+    the vertices still to topple after it, so t collects
+    sum_i (i-1)(a_i+b_i) over the sequence.  The value is memoized on
+    (clique left, independent left, prev), not summed term by term.
     """
     SplitGraph(n, d)  # refuses a bad shape
 
@@ -291,7 +260,7 @@ def itc_sum(n: int, d: int) -> QtPolynomial:
                 left = clique + indep - a - b
                 if left and not a:
                     continue  # only the final round may topple no clique vertex
-                step = q_multinomial(a, b, prev - 1)
+                step = factor(a, b, prev - 1)
                 if left:
                     step = step * rounds(clique - a, indep - b, a)
                 _add_shifted(out, step, a * (a - 1) // 2, left)
@@ -301,6 +270,35 @@ def itc_sum(n: int, d: int) -> QtPolynomial:
         return rounds(n, d, 1)
     finally:
         rounds.cache_clear()
+
+
+def egge_sum(n: int, d: int) -> QtPolynomial:
+    """Explicit composition sum for the q,t-Schroder polynomial.
+
+    Sums over strict compositions alpha of n (length k) and weak
+    compositions beta of d (length k+1) the term
+    q^(sum C(alpha_i,2)) t^(sum_i i beta_i + sum_i (i-1) alpha_i)
+    prod_{i<k} [beta_i, alpha_{i+1}, alpha_i-1] [beta_k+alpha_k-1; beta_k]
+    with alpha_0 = 1, so the first factor is [beta_0+alpha_1; beta_0].
+
+    With a round (a, b) = (alpha_{i+1}, beta_i) this is :func:`_round_sum`
+    with the factor [b, a, prev-1]; the closing [beta_k+alpha_k-1; beta_k]
+    = [beta_k, 0, alpha_k-1] is the last round, which topples no clique
+    vertex.
+    """
+    return _round_sum(n, d, lambda alpha, beta, c: q_multinomial(beta, alpha, c))
+
+
+def itc_sum(n: int, d: int) -> QtPolynomial:
+    """Toppling-sequence sum for the q,t-ITC polynomial.
+
+    One term per ITC toppling sequence (:func:`itc_sum_term`): a product
+    over rounds of q^C(a_i,2) [a_i+b_i+a_{i-1}-1 choose a_i, b_i, a_{i-1}-1]_q
+    t^((i-1)(a_i+b_i)) with a_0 = 1.  Stated for d >= 1; the d = 0 case
+    uses the same formula with all b_i = 0.  This is :func:`_round_sum`
+    with the factor [a, b, prev-1].
+    """
+    return _round_sum(n, d, q_multinomial)
 
 
 def itc_sum_term(seq: toppling.ItcSequence) -> QtPolynomial:

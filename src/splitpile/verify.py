@@ -482,7 +482,7 @@ def list_tasks(suite: str, max_n: int, max_d: int) -> list[tuple[str, dict]]:
             out.extend(list_tasks(s, max_n, max_d))
         return out
     if suite not in _SHAPE_CHECKS:
-        raise ValueError(f"unknown suite {suite!r}")
+        raise PreconditionError(f"unknown suite {suite!r}")
     tasks: list[tuple[str, dict]] = []
     for name, _fn, cap in _SHAPE_CHECKS[suite]:
         cap_n, cap_d = cap or (max_n, max_d)

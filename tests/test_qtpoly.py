@@ -5,6 +5,7 @@ import pytest
 from splitpile.asm import PreconditionError, SplitGraph, sorted_recurrent_count
 from splitpile.qtpoly import (
     QtPolynomial,
+    _round_sum,
     egge_sum,
     extremal_words,
     f_cti,
@@ -20,7 +21,7 @@ from splitpile.qtpoly import (
     qt_schroder,
 )
 from splitpile.schroder import is_schroder, mirror, phi, word_le
-from splitpile.toppling import ItcSequence, all_itc_sequences
+from splitpile.toppling import ItcSequence, all_itc_sequences, count_itc
 
 # F^CTI_{2,2}(q,t), frozen term for term from the worked example
 POLY_22 = QtPolynomial(
@@ -63,6 +64,21 @@ def test_qtpolynomial_json():
     ):
         with pytest.raises(PreconditionError, match="bad polynomial JSON"):
             QtPolynomial.from_json(bad)
+
+
+def test_qtpolynomial_refuses_inexact_input():
+    # int() would read "2" as 2 and 1.7 as 1; a fractional coefficient
+    # would leave exact integer arithmetic
+    for bad in ({("2", 0): 1}, {(1.7, 0): 1}, {(0, 0): 0.5}, {(0, 0): Fraction(1, 2)}):
+        with pytest.raises(PreconditionError, match="integer exponents and coefficients"):
+            QtPolynomial(bad)
+
+
+def test_bad_arguments_name_their_values():
+    with pytest.raises(PreconditionError, match=r"need n >= 0 and d >= 0, got \(2, -1\)"):
+        qt_schroder(2, -1)
+    with pytest.raises(PreconditionError, match=r"need a, b, c >= 0, got \(-1, 0, 0\)"):
+        q_multinomial(-1, 0, 0)
 
 
 def test_latex_matches_printed_ordering():
@@ -177,6 +193,61 @@ def test_itc_sum_equals_sum_over_sequences():
         for d in range(0, 5):
             terms = (itc_sum_term(seq) for seq in all_itc_sequences(n, d))
             assert itc_sum(n, d) == sum(terms, QtPolynomial.zero()), (n, d)
+
+
+def test_round_sum_counts_itc_sequences():
+    """With a unit factor the shared round recursion counts ITC toppling
+    sequences, so its round rule agrees with ItcSequence.blocks()."""
+    for n in range(1, 6):
+        for d in range(0, 5):
+            count = _round_sum(n, d, lambda a, b, c: QtPolynomial.one()).evaluate(1, 1)
+            assert count == count_itc(n, d) == len(all_itc_sequences(n, d)), (n, d)
+
+
+def _neg_x_pochhammer(a: int) -> QtPolynomial:
+    """(-x; q)_a = prod_{i<a} (1 + x q^i), with x in the t slot."""
+    out = QtPolynomial.one()
+    for i in range(a):
+        out = out * QtPolynomial({(0, 0): 1, (i, 1): 1})
+    return out
+
+
+def _x_series(ps: range, coeff) -> QtPolynomial:
+    """sum over p in ps of q^C(p,2) coeff(p) x^p, with x in the t slot."""
+    out = QtPolynomial.zero()
+    for p in ps:
+        out = out + coeff(p) * QtPolynomial.monomial(p * (p - 1) // 2, p)
+    return out
+
+
+def _telescoping_c(a: int, b: int, shift: int = 1) -> QtPolynomial:
+    # c_{a,b}(x) = sum_p q^C(p,2) [a+p-1; p] [b-1; p-1] x^p at shift 1
+    return _x_series(
+        range(shift, b + shift),
+        lambda p: q_binomial(a + p - 1, p) * q_binomial(b - 1, p - shift),
+    )
+
+
+def _telescoping_d(a: int, b: int) -> QtPolynomial:
+    # d_{a,b}(x) = sum_p q^C(p,2) [a; p] [p+b-1; b] x^p
+    return _x_series(range(1, a + 1), lambda p: q_binomial(a, p) * q_binomial(p + b - 1, b))
+
+
+def test_telescoping_lemma():
+    """(-x;q)_a c_{a,b}(x) = (-x;q)_b d_{a,b}(x) exactly in q and x: the
+    identity that telescopes the CTI round product into the ITC one."""
+    for a in range(1, 9):
+        for b in range(1, 9):
+            left = _neg_x_pochhammer(a) * _telescoping_c(a, b)
+            assert left == _neg_x_pochhammer(b) * _telescoping_d(a, b), (a, b)
+
+
+def test_telescoping_lemma_catches_a_shifted_binomial():
+    # [b-1; p] in place of [b-1; p-1] in c breaks the lemma on every pair
+    for a in range(1, 7):
+        for b in range(1, 7):
+            left = _neg_x_pochhammer(a) * _telescoping_c(a, b, shift=0)
+            assert left != _neg_x_pochhammer(b) * _telescoping_d(a, b), (a, b)
 
 
 def test_explicit_sums_past_brute_force_reach():

@@ -3,7 +3,7 @@ import tracemalloc
 import pytest
 
 from splitpile import cycle_lemma as cl
-from splitpile.asm import Config, SplitGraph, enumerate_sorted_recurrent
+from splitpile.asm import Config, PreconditionError, SplitGraph, enumerate_sorted_recurrent
 from splitpile.verify import (
     CONJECTURE_CHECKS,
     SUITES,
@@ -39,6 +39,11 @@ def test_tasks_are_deterministic_and_runnable():
         assert rep.ok
         assert rep.params
         assert rep.seconds >= 0
+
+
+def test_unknown_suite_is_a_precondition_error():
+    with pytest.raises(PreconditionError, match="unknown suite 'bogus'"):
+        list_tasks("bogus", 2, 1)
 
 
 def test_parallel_matches_serial():
