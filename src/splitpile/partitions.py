@@ -158,10 +158,13 @@ def nabla_symmetry_check(
     At every point the partition sum must equal
     sum_d z^d qt_schroder(n-d, d)(q, t), and both sides must be
     invariant under swapping q and t.  Degenerate points raise
-    DegeneratePointError so the caller can resample.
+    DegeneratePointError so the caller can resample; an empty point list
+    would compare nothing, so it is refused.
     """
     if n < 1:
         raise PreconditionError("need n >= 1")
+    if not points:
+        raise PreconditionError("need at least one point to compare")
     mus = list(partitions_of(n))
     grid = [qt_schroder(n - d, d) for d in range(n + 1)]
     report = SymmetryReport(n, [(Fraction(q), Fraction(t), Fraction(z)) for q, t, z in points])

@@ -78,12 +78,16 @@ class QtPolynomial:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: "QtPolynomial") -> "QtPolynomial":
+        if not isinstance(other, QtPolynomial):
+            return NotImplemented
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = out.get(key, 0) + c
         return QtPolynomial(out)
 
     def __sub__(self, other: "QtPolynomial") -> "QtPolynomial":
+        if not isinstance(other, QtPolynomial):
+            return NotImplemented
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = out.get(key, 0) - c
@@ -92,6 +96,8 @@ class QtPolynomial:
     def __mul__(self, other) -> "QtPolynomial":
         if isinstance(other, int):
             return QtPolynomial({k: c * other for k, c in self.terms.items()})
+        if not isinstance(other, QtPolynomial):
+            return NotImplemented
         out: dict[tuple[int, int], int] = {}
         for (q1, t1), c1 in self.terms.items():
             for (q2, t2), c2 in other.terms.items():

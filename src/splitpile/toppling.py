@@ -108,8 +108,8 @@ def trace_to_json(trace: ToppleTrace) -> dict:
 
 def trace_from_json(obj: dict) -> ToppleTrace:
     """Read :func:`trace_to_json`'s form.  The JSON names no n and d, so
-    only labels below 1 and labels repeated within a part (each vertex
-    topples once) can be refused."""
+    only labels below 1, labels repeated within a part (each vertex
+    topples once) and rounds that topple nothing can be refused."""
     with _reading_json("trace"):
         mode = obj["mode"]
         if mode not in (CTI, ITC):
@@ -117,9 +117,11 @@ def trace_from_json(obj: dict) -> ToppleTrace:
         rounds = []
         seen_clique: set[int] = set()
         seen_indep: set[int] = set()
-        for r in obj["rounds"]:
+        for i, r in enumerate(obj["rounds"], 1):
             clique = _indices(r["clique"], "clique", seen_clique)
             indep = _indices(r["independent"], "independent", seen_indep)
+            if not clique and not indep:
+                raise PreconditionError(f"trace round {i} topples no vertex")
             rounds.append((clique, indep) if mode == CTI else (indep, clique))
     return ToppleTrace(mode, tuple(rounds))
 

@@ -26,16 +26,12 @@ from .asm import (
     format_config,
     height,
     is_nonnegative,
-    is_recurrent,
     is_sorted_config,
-    is_stable,
     level,
     sorted_recurrent_count,
     stabilize,
 )
 from .partitions import nabla_symmetry_check, partitions_of
-
-SUITES = ("bijections", "theorems", "cycle-lemma", "conjectures", "appendix", "all")
 
 
 @dataclass
@@ -248,17 +244,15 @@ def check_burning_returns(n: int, d: int) -> dict | None:
 
 def check_cycle_lemma(n: int, d: int) -> dict | None:
     """One class at a time: n+1 distinct sorted quasi-stable non-negative
-    (QSN) members, v its only recurrent one and every member's
-    representative.  That map is a function, so the classes are disjoint;
-    they cover QSN iff their sizes add up to its streamed count and closed form."""
+    (QSN) members, v among them and every member's representative.  A
+    recurrent member is its own representative, so v is the only recurrent
+    member.  That map is a function, so the classes are disjoint; they
+    cover QSN iff their sizes add up to its streamed count and closed form."""
     graph = SplitGraph(n, d)
     counted = 0
     for v in enumerate_sorted_recurrent(graph):
         members = cl.class_members(graph, v)
-        recurrent_members = [
-            m for m in members if is_stable(graph, m) and is_recurrent(graph, m)
-        ]
-        if not len(members) == len(set(members)) == n + 1 or recurrent_members != [v]:
+        if not (len(members) == len(set(members)) == n + 1 and v in members):
             return {"config": format_config(v)}
         for m in members:
             if not (is_sorted_config(m) and is_nonnegative(m) and cl.is_quasistable(graph, m)):
@@ -415,85 +409,75 @@ def check_cell_exchange(limit: int = 8) -> dict | None:
 # suite assembly
 # ---------------------------------------------------------------------------
 
-# Each entry is (name, check, cap): word-enumeration checks get too large
-# beyond their cap (max_n, max_d); None leaves the range uncapped.
-_SHAPE_CHECKS = {
-    "bijections": [
-        ("phi_roundtrip", check_phi_roundtrip, None),
-        ("mirror_involution", check_mirror_involution, None),
-        ("word_polyomino_validity", check_sts_validity, (4, 3)),
-        ("config_polyomino_route", check_from_config_route, None),
-    ],
-    "theorems": [
-        ("area_equals_level", check_area_level, None),
-        ("bounce_equals_wtopple", check_bounce_wtopple, None),
-        ("peaks_coincide", check_peaks_coincide, None),
-        ("bounce_formulations_agree", check_bounce_formulations, None),
-        ("polyomino_statistics", check_polyomino_statistics, None),
-        ("itc_sequence_description", check_itc_sequence_sets, None),
-        ("recurrent_count", check_counts, None),
-        ("itc_identity_chain", check_identity_chain, None),
-        ("abelian_stabilization", check_abelian, (4, 3)),
-        ("burning_returns_start", check_burning_returns, None),
-    ],
-    "cycle-lemma": [
-        ("operator_laws", check_operator_laws, (4, 4)),
-        ("weight_laws", check_weight_laws, (4, 4)),
-        ("class_partition", check_cycle_lemma, (4, 3)),
-    ],
-    "conjectures": [
-        ("qt_cti_equals_itc", check_conjecture_cti_itc, None),
-        ("qt_cti_equals_schroder", check_conjecture_cti_schroder, None),
-        # a bijection preserving (height, wtopple) exists iff the two
-        # bistatistic multisets coincide, which is exactly f_cti == f_itc
-        ("bistatistic_bijection_exists", check_conjecture_cti_itc, None),
-    ],
-    "appendix": [
-        ("fiber_intervals", check_fiber_intervals, (4, 3)),
-        ("sequence_counts", check_sequence_counts, None),
-    ],
-}
-
-
-_CHECK_FUNCS = {
-    name: fn for checks in _SHAPE_CHECKS.values() for name, fn, _cap in checks
-}
-_CHECK_FUNCS.update(
-    hexagon_multinomial=check_hexagon_lemma,
-    cell_exchange=check_cell_exchange,
-    partition_sum_identity=check_partition_identity,
+# One row per check, in report order: (suite, report name, check, params).
+# A shape check's params are its cap (max_n, max_d), beyond which word
+# enumeration gets too large, or None for the requested range.  A dict
+# gives the check's fixed parameters; such a row is dropped when its "n"
+# exceeds max_n.
+_TABLE = (
+    ("bijections", "phi_roundtrip", check_phi_roundtrip, None),
+    ("bijections", "mirror_involution", check_mirror_involution, None),
+    ("bijections", "word_polyomino_validity", check_sts_validity, (4, 3)),
+    ("bijections", "config_polyomino_route", check_from_config_route, None),
+    ("theorems", "area_equals_level", check_area_level, None),
+    ("theorems", "bounce_equals_wtopple", check_bounce_wtopple, None),
+    ("theorems", "peaks_coincide", check_peaks_coincide, None),
+    ("theorems", "bounce_formulations_agree", check_bounce_formulations, None),
+    ("theorems", "polyomino_statistics", check_polyomino_statistics, None),
+    ("theorems", "itc_sequence_description", check_itc_sequence_sets, None),
+    ("theorems", "recurrent_count", check_counts, None),
+    ("theorems", "itc_identity_chain", check_identity_chain, None),
+    ("theorems", "abelian_stabilization", check_abelian, (4, 3)),
+    ("theorems", "burning_returns_start", check_burning_returns, None),
+    ("cycle-lemma", "operator_laws", check_operator_laws, (4, 4)),
+    ("cycle-lemma", "weight_laws", check_weight_laws, (4, 4)),
+    ("cycle-lemma", "class_partition", check_cycle_lemma, (4, 3)),
+    ("conjectures", "qt_cti_equals_itc", check_conjecture_cti_itc, None),
+    ("conjectures", "qt_cti_equals_schroder", check_conjecture_cti_schroder, None),
+    # a bijection preserving (height, wtopple) exists iff the two
+    # bistatistic multisets coincide, which is exactly f_cti == f_itc
+    ("conjectures", "bistatistic_bijection_exists", check_conjecture_cti_itc, None),
+    ("appendix", "fiber_intervals", check_fiber_intervals, (4, 3)),
+    ("appendix", "sequence_counts", check_sequence_counts, None),
+    ("appendix", "hexagon_multinomial", check_hexagon_lemma, {"limit": 4}),
+    ("appendix", "cell_exchange", check_cell_exchange, {"limit": 8}),
+    *(
+        ("appendix", "partition_sum_identity", check_partition_identity, {"n": n})
+        for n in range(1, 6)
+    ),
 )
 
+SUITES = (*dict.fromkeys(suite for suite, *_ in _TABLE), "all")
+
+_CHECK_FUNCS = {name: fn for _suite, name, fn, _params in _TABLE}
+
 #: checks whose failure is a conjecture counterexample, not a bug
-CONJECTURE_CHECKS = frozenset(name for name, _fn, _cap in _SHAPE_CHECKS["conjectures"])
+CONJECTURE_CHECKS = frozenset(name for suite, name, *_ in _TABLE if suite == "conjectures")
 
 
 def list_tasks(suite: str, max_n: int, max_d: int) -> list[tuple[str, dict]]:
-    """Picklable ``(check name, params)`` pairs, in deterministic order.
+    """Picklable ``(check name, params)`` pairs, in deterministic order:
+    the table's rows of ``suite``, or every row for ``"all"``.
 
     An empty shape range would give a suite that examines nothing, so it
     is refused.
     """
     if max_n < 1 or max_d < 0:
         raise PreconditionError(f"need max_n >= 1 and max_d >= 0, got ({max_n}, {max_d})")
-    if suite == "all":
-        out: list[tuple[str, dict]] = []
-        for s in ("bijections", "theorems", "cycle-lemma", "conjectures", "appendix"):
-            out.extend(list_tasks(s, max_n, max_d))
-        return out
-    if suite not in _SHAPE_CHECKS:
+    if suite not in SUITES:
         raise PreconditionError(f"unknown suite {suite!r}")
     tasks: list[tuple[str, dict]] = []
-    for name, _fn, cap in _SHAPE_CHECKS[suite]:
-        cap_n, cap_d = cap or (max_n, max_d)
+    for row_suite, name, _fn, params in _TABLE:
+        if suite not in ("all", row_suite):
+            continue
+        if isinstance(params, dict):
+            if params.get("n", 1) <= max_n:
+                tasks.append((name, dict(params)))
+            continue
+        cap_n, cap_d = params or (max_n, max_d)
         for n in range(1, min(max_n, cap_n) + 1):
             for d in range(0, min(max_d, cap_d) + 1):
                 tasks.append((name, {"n": n, "d": d}))
-    if suite == "appendix":
-        tasks.append(("hexagon_multinomial", {"limit": 4}))
-        tasks.append(("cell_exchange", {"limit": 8}))
-        for n in range(1, min(max_n, 5) + 1):
-            tasks.append(("partition_sum_identity", {"n": n}))
     return tasks
 
 

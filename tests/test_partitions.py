@@ -101,6 +101,12 @@ def test_symmetry_check_n2_by_hand():
     assert report.lhs == [Fraction(60)]
 
 
+def test_symmetry_check_refuses_an_empty_point_list():
+    # a check that compared nothing must not report a pass
+    with pytest.raises(PreconditionError, match="at least one point"):
+        nabla_symmetry_check(2, [])
+
+
 def test_symmetry_check_small_range():
     for n in range(1, 6):
         report = nabla_symmetry_check(n, POINTS)

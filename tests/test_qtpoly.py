@@ -81,6 +81,21 @@ def test_bad_arguments_name_their_values():
         q_multinomial(-1, 0, 0)
 
 
+def test_arithmetic_refuses_foreign_operands():
+    # only another polynomial, or an int as a scale, is an operand
+    one = QtPolynomial.one()
+    for operation in (
+        lambda: one * 1.5,
+        lambda: one * Fraction(1, 2),
+        lambda: "a" * one,
+        lambda: one + 1,
+        lambda: one - 1,
+    ):
+        with pytest.raises(TypeError):
+            operation()
+    assert one * 2 == 2 * one == QtPolynomial({(0, 0): 2})
+
+
 def test_latex_matches_printed_ordering():
     assert POLY_22.to_latex() == (
         "q^5 + t^5 + q^4t + qt^4 + q^3t^2 + q^2t^3 + q^4 + t^4 + 2q^3t + 2qt^3"
@@ -248,6 +263,48 @@ def test_telescoping_lemma_catches_a_shifted_binomial():
         for b in range(1, 7):
             left = _neg_x_pochhammer(a) * _telescoping_c(a, b, shift=0)
             assert left != _neg_x_pochhammer(b) * _telescoping_d(a, b), (a, b)
+
+
+def _compositions(total: int):
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, total + 1):
+        for rest in _compositions(total - first):
+            yield (first,) + rest
+
+
+def _composition_sum(n: int, d: int, closing: int, link) -> QtPolynomial:
+    """sum over compositions s of n+d of t^(sum (r-1) s_r) [x^n]
+    (-x;q)_{s[closing]} prod_r link(s_{r-1}, s_r), with x in the t slot
+    of the product."""
+    out = QtPolynomial.zero()
+    for s in _compositions(n + d):
+        product = _neg_x_pochhammer(s[closing])
+        for a, b in zip(s, s[1:]):
+            product = product * link(a, b)
+        bounce = sum(r * size for r, size in enumerate(s))
+        for (qe, xe), c in product.terms.items():
+            if xe == n:
+                out = out + QtPolynomial.monomial(qe, bounce, c)
+    return out
+
+
+def test_composition_formulas_give_both_polynomials():
+    """The telescoping lemma's two sides, summed over the compositions of
+    n+d, are the CTI and the ITC polynomial."""
+    for total in range(1, 8):
+        for n in range(1, total + 1):
+            d = total - n
+            assert _composition_sum(n, d, 0, _telescoping_c) == f_cti(n, d), (n, d)
+            assert _composition_sum(n, d, -1, _telescoping_d) == f_itc(n, d), (n, d)
+
+
+def test_composition_formula_catches_the_wrong_closing_factor():
+    # closing the CTI product with (-x;q)_{s_k} instead of (-x;q)_{s_1}
+    shapes = [(n, total - n) for total in range(2, 7) for n in range(1, total + 1)]
+    wrong = [s for s in shapes if _composition_sum(*s, -1, _telescoping_c) != f_cti(*s)]
+    assert len(shapes) == 20 and len(wrong) == 14, wrong
 
 
 def test_explicit_sums_past_brute_force_reach():

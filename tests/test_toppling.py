@@ -264,6 +264,19 @@ def test_trace_from_json_rejects_labels_that_name_no_vertex():
     ) == ToppleTrace(CTI, (((0,), (0,)),))
 
 
+def test_trace_from_json_rejects_a_round_that_topples_nothing():
+    empty_round = {
+        "mode": "CTI",
+        "rounds": [{"clique": [1], "independent": []}, {"clique": [], "independent": []}],
+    }
+    with pytest.raises(PreconditionError, match="trace round 2 topples no vertex"):
+        trace_from_json(empty_round)
+    # a round may still leave one part empty
+    assert trace_from_json(
+        {"mode": "ITC", "rounds": [{"clique": [], "independent": [1]}]}
+    ) == ToppleTrace(ITC, (((0,), ()),))
+
+
 def test_sequences_match_toppling_images():
     for n, d in [(1, 0), (2, 2), (3, 1), (3, 2), (4, 3)]:
         g = SplitGraph(n, d)

@@ -3,7 +3,13 @@ import tracemalloc
 import pytest
 
 from splitpile import cycle_lemma as cl
-from splitpile.asm import Config, PreconditionError, SplitGraph, enumerate_sorted_recurrent
+from splitpile.asm import (
+    Config,
+    PreconditionError,
+    SplitGraph,
+    enumerate_sorted_recurrent,
+    format_config,
+)
 from splitpile.verify import (
     CONJECTURE_CHECKS,
     SUITES,
@@ -140,3 +146,15 @@ def test_cycle_lemma_check_reports_each_fault(monkeypatch, name, fault, key):
     monkeypatch.setattr(cl, name, fault(getattr(cl, name)))
     counterexample = check_cycle_lemma(2, 2)
     assert counterexample is not None and key in counterexample
+
+
+def test_cycle_lemma_check_needs_v_in_its_class(monkeypatch):
+    # the class of the next recurrent configuration passes every member
+    # clause but the representative one; v's absence is reported first
+    g = SplitGraph(2, 2)
+    first, second = enumerate_sorted_recurrent(g)[:2]
+    real = cl.class_members
+    monkeypatch.setattr(
+        cl, "class_members", lambda graph, v: real(graph, second if v == first else v)
+    )
+    assert check_cycle_lemma(2, 2) == {"config": format_config(first)}
