@@ -11,7 +11,6 @@ from .asm import (
     format_config,
     height,
     is_recurrent,
-    iter_sorted_recurrent,
     level,
     parse_config,
     sorted_recurrent_count,
@@ -32,7 +31,6 @@ __all__ = [
     "format_config",
     "height",
     "is_recurrent",
-    "iter_sorted_recurrent",
     "level",
     "parse_config",
     "sorted_recurrent_count",

@@ -17,7 +17,6 @@ import math
 import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Callable, Iterator
 
@@ -461,12 +460,13 @@ def iter_sorted_recurrent_groups(
             yield a, rows
 
 
-def iter_sorted_recurrent(graph: SplitGraph) -> Iterator[Config]:
+def enumerate_sorted_recurrent(graph: SplitGraph) -> Iterator[Config]:
     """Sorted recurrent configurations, lexicographically decreasing, one at a time.
 
     The flattened groups of :func:`iter_sorted_recurrent_groups`: only
-    candidates that burn become a :class:`Config`, and nothing is cached,
-    so memory grows with one group, not with the count.
+    candidates that burn become a :class:`Config`, and nothing is kept
+    between calls, so memory grows with one group, not with the count.
+    A caller that reads a shape many times keeps its own tuple.
     """
     for a, rows in iter_sorted_recurrent_groups(graph):
         for b, _ in rows:
@@ -475,27 +475,12 @@ def iter_sorted_recurrent(graph: SplitGraph) -> Iterator[Config]:
 
 def _enumerate_phi(graph: SplitGraph) -> list[Config]:
     """The image of all Schroder words under phi, sorted like the
-    enumeration; the tests compare it with :func:`iter_sorted_recurrent`."""
+    enumeration; the tests compare it with :func:`enumerate_sorted_recurrent`."""
     from . import schroder
 
     out = [schroder.phi(w) for w in schroder.enumerate_schroder(graph.n, graph.d)]
     out.sort(key=Config.key, reverse=True)
     return out
-
-
-@lru_cache(maxsize=None)
-def _enumerate_cached(n: int, d: int) -> tuple[Config, ...]:
-    return tuple(iter_sorted_recurrent(SplitGraph(n, d)))
-
-
-def enumerate_sorted_recurrent(graph: SplitGraph) -> tuple[Config, ...]:
-    """All sorted recurrent configurations, lexicographically decreasing.
-
-    The direct filter of sorted stable configurations,
-    :func:`iter_sorted_recurrent`, cached per shape; callers that only
-    walk the set once should iterate :func:`iter_sorted_recurrent` instead.
-    """
-    return _enumerate_cached(graph.n, graph.d)
 
 
 def sorted_recurrent_count(n: int, d: int) -> int:

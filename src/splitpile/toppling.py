@@ -109,7 +109,9 @@ def trace_to_json(trace: ToppleTrace) -> dict:
 def trace_from_json(obj: dict) -> ToppleTrace:
     """Read :func:`trace_to_json`'s form.  The JSON names no n and d, so
     only labels below 1, labels repeated within a part (each vertex
-    topples once) and rounds that topple nothing can be refused."""
+    topples once), rounds that topple nothing and a trace without a
+    clique label (every S(n, d) has n >= 1 clique vertices) can be
+    refused."""
     with _reading_json("trace"):
         mode = obj["mode"]
         if mode not in (CTI, ITC):
@@ -123,6 +125,8 @@ def trace_from_json(obj: dict) -> ToppleTrace:
             if not clique and not indep:
                 raise PreconditionError(f"trace round {i} topples no vertex")
             rounds.append((clique, indep) if mode == CTI else (indep, clique))
+        if not seen_clique:
+            raise PreconditionError("trace topples no clique vertex; S(n,d) has n >= 1 of them")
     return ToppleTrace(mode, tuple(rounds))
 
 

@@ -11,6 +11,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import cycle_lemma as cl
 from . import polyomino as po
@@ -68,9 +69,15 @@ def _report(check: str, params: dict, counterexample: dict | None) -> Verificati
 # individual checks; each returns None or a counterexample payload
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _recurrent(n: int, d: int) -> tuple[Config, ...]:
+    """The sorted recurrent configurations of S(n, d), kept for the
+    checks below, which read each shape several times."""
+    return tuple(enumerate_sorted_recurrent(SplitGraph(n, d)))
+
+
 def check_phi_roundtrip(n: int, d: int) -> dict | None:
-    graph = SplitGraph(n, d)
-    for c in enumerate_sorted_recurrent(graph):
+    for c in _recurrent(n, d):
         w = sc.phi_inv(c)
         if sc.phi(w) != c:
             return {"config": format_config(c), "word": w}
@@ -100,7 +107,7 @@ def check_sts_validity(n: int, d: int) -> dict | None:
 
 def check_from_config_route(n: int, d: int) -> dict | None:
     graph = SplitGraph(n, d)
-    for c in enumerate_sorted_recurrent(graph):
+    for c in _recurrent(n, d):
         if po.from_config(graph, c) != po.sts(sc.phi_inv(c)):
             return {"config": format_config(c)}
     return None
@@ -108,7 +115,7 @@ def check_from_config_route(n: int, d: int) -> dict | None:
 
 def check_area_level(n: int, d: int) -> dict | None:
     graph = SplitGraph(n, d)
-    for c in enumerate_sorted_recurrent(graph):
+    for c in _recurrent(n, d):
         w = sc.mirror(sc.phi_inv(c))
         if sc.area(w) != level(graph, c):
             return {"config": format_config(c), "word": w}
@@ -117,7 +124,7 @@ def check_area_level(n: int, d: int) -> dict | None:
 
 def check_bounce_wtopple(n: int, d: int) -> dict | None:
     graph = SplitGraph(n, d)
-    for c in enumerate_sorted_recurrent(graph):
+    for c in _recurrent(n, d):
         w = sc.mirror(sc.phi_inv(c))
         if sc.schroder_bounce(w) != tp.wtopple_of_sizes(tp.itc_sizes(graph, c)) - (n + d):
             return {"config": format_config(c), "word": w}
@@ -128,7 +135,7 @@ def check_peaks_coincide(n: int, d: int) -> dict | None:
     """Geometric peaks match the loop formula from the ITC sequence, and
     the direct band-walk bounce path passes through exactly those peaks."""
     graph = SplitGraph(n, d)
-    for c in enumerate_sorted_recurrent(graph):
+    for c in _recurrent(n, d):
         w = sc.mirror(sc.phi_inv(c))
         seq = tp.itc_sequence_of_sizes(tp.itc_sizes(graph, c))
         p, q = seq.a, seq.b
@@ -158,7 +165,7 @@ def check_bounce_formulations(n: int, d: int) -> dict | None:
 def check_polyomino_statistics(n: int, d: int) -> dict | None:
     graph = SplitGraph(n, d)
     offset = graph.nonsink_edges - (n + d)
-    for c in enumerate_sorted_recurrent(graph):
+    for c in _recurrent(n, d):
         poly = po.from_config(graph, c)
         if height(c) != po.area(poly) + offset:
             return {"config": format_config(c), "area": po.area(poly)}
@@ -173,7 +180,7 @@ def check_itc_sequence_sets(n: int, d: int) -> dict | None:
     graph = SplitGraph(n, d)
     image = {
         tp.itc_sequence_of_sizes(tp.itc_sizes(graph, c))
-        for c in enumerate_sorted_recurrent(graph)
+        for c in _recurrent(n, d)
     }
     described = set(tp.all_itc_sequences(n, d))
     if image != described:
@@ -184,8 +191,7 @@ def check_itc_sequence_sets(n: int, d: int) -> dict | None:
 
 
 def check_counts(n: int, d: int) -> dict | None:
-    graph = SplitGraph(n, d)
-    enumerated = len(enumerate_sorted_recurrent(graph))
+    enumerated = len(_recurrent(n, d))
     if enumerated != sorted_recurrent_count(n, d):
         return {"enumerated": enumerated, "formula": sorted_recurrent_count(n, d)}
     return None
@@ -232,7 +238,7 @@ def check_burning_returns(n: int, d: int) -> dict | None:
     """Toppling the sink then stabilizing a recurrent configuration
     returns it with every vertex toppling exactly once."""
     graph = SplitGraph(n, d)
-    for c in enumerate_sorted_recurrent(graph):
+    for c in _recurrent(n, d):
         bumped = Config(
             tuple(x + 1 for x in c.clique), tuple(x + 1 for x in c.independent)
         )
@@ -250,7 +256,7 @@ def check_cycle_lemma(n: int, d: int) -> dict | None:
     cover QSN iff their sizes add up to its streamed count and closed form."""
     graph = SplitGraph(n, d)
     counted = 0
-    for v in enumerate_sorted_recurrent(graph):
+    for v in _recurrent(n, d):
         members = cl.class_members(graph, v)
         if not (len(members) == len(set(members)) == n + 1 and v in members):
             return {"config": format_config(v)}

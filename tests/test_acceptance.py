@@ -81,7 +81,7 @@ def test_criterion_01_printed_polynomial():
 def test_criterion_02_table_of_thirty():
     def body():
         g = SplitGraph(2, 2)
-        recs = enumerate_sorted_recurrent(g)
+        recs = tuple(enumerate_sorted_recurrent(g))
         assert len(recs) == 30
         assert {format_config(c) for c in recs} == set(TABLE_22)
         for c in recs:
@@ -219,7 +219,7 @@ def test_criterion_09_cycle_lemma():
                 qsn = cl.enumerate_quasistable_nonneg(g)
                 assert len(qsn) == cl.count_quasistable_nonneg(n, d)
                 owner = {}
-                recs = enumerate_sorted_recurrent(g)
+                recs = tuple(enumerate_sorted_recurrent(g))
                 for v in recs:
                     members = cl.class_members(g, v)
                     assert len(members) == n + 1

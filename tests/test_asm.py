@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,6 @@ from splitpile.asm import (
     is_recurrent,
     is_sorted_config,
     is_stable,
-    iter_sorted_recurrent,
     iter_sorted_recurrent_groups,
     level,
     parse_config,
@@ -26,7 +26,6 @@ from splitpile.asm import (
     stabilize,
     topple,
     _burn_rounds,
-    _enumerate_cached,
     _enumerate_phi,
     _stabilize_raw,
 )
@@ -227,7 +226,7 @@ def test_height_and_level():
 
 
 def test_enumerate_matches_table():
-    recs = enumerate_sorted_recurrent(G22)
+    recs = tuple(enumerate_sorted_recurrent(G22))
     assert len(recs) == 30
     assert [format_config(c) for c in recs] == sorted(
         TABLE_22, key=lambda s: parse_config(s).key(), reverse=True
@@ -238,22 +237,22 @@ def test_enumerate_matches_table():
 
 def test_enumerate_trivial_and_derived():
     g = SplitGraph(1, 0)
-    assert enumerate_sorted_recurrent(g) == (Config((0,), ()),)
-    assert len(enumerate_sorted_recurrent(SplitGraph(3, 2))) == 140
+    assert tuple(enumerate_sorted_recurrent(g)) == (Config((0,), ()),)
+    assert len(tuple(enumerate_sorted_recurrent(SplitGraph(3, 2)))) == 140
 
 
 def test_enumeration_backends_agree():
     for n in range(1, 6):
         for d in range(0, 5):
             g = SplitGraph(n, d)
-            assert enumerate_sorted_recurrent(g) == tuple(_enumerate_phi(g))
+            assert tuple(enumerate_sorted_recurrent(g)) == tuple(_enumerate_phi(g))
 
 
 def test_streaming_matches_phi_backend():
     for n in range(1, 6):
         for d in range(0, 5):
             g = SplitGraph(n, d)
-            assert list(iter_sorted_recurrent(g)) == _enumerate_phi(g)
+            assert list(enumerate_sorted_recurrent(g)) == _enumerate_phi(g)
 
 
 def test_streamed_sizes_are_the_cti_sizes():
@@ -264,7 +263,7 @@ def test_streamed_sizes_are_the_cti_sizes():
             g = SplitGraph(n, d)
             groups = iter_sorted_recurrent_groups(g)
             pairs = [(Config(a, b), sizes) for a, rows in groups for b, sizes in rows]
-            assert [c for c, _ in pairs] == list(iter_sorted_recurrent(g))
+            assert [c for c, _ in pairs] == list(enumerate_sorted_recurrent(g))
             assert all(sizes == cti_sizes(g, c) for c, sizes in pairs)
 
 
@@ -277,15 +276,20 @@ def test_flattened_groups_are_the_enumeration():
             clique_parts = [a for a, _ in groups]
             assert all(x > y for x, y in zip(clique_parts, clique_parts[1:]))
             flat = [(Config(a, b), sizes) for a, rows in groups for b, sizes in rows]
-            assert [c for c, _ in flat] == list(iter_sorted_recurrent(g))
+            assert [c for c, _ in flat] == list(enumerate_sorted_recurrent(g))
 
 
 def test_streaming_first_config_without_building_the_set():
-    # S(8,5) has 29,099,070 sorted recurrent configurations
-    _enumerate_cached.cache_clear()
-    first = next(iter_sorted_recurrent(SplitGraph(8, 5)))
+    # S(8,5) has 29,099,070 sorted recurrent configurations; the first one
+    # costs one group of rows, not the set
+    tracemalloc.start()
+    try:
+        first = next(enumerate_sorted_recurrent(SplitGraph(8, 5)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert format_config(first) == "12,12,12,12,12,12,12,12;8,8,8,8,8"
-    assert _enumerate_cached.cache_info().currsize == 0
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("n, d", [(0, 1), (2, -1), (-1, 0)])
@@ -317,7 +321,7 @@ def test_counts():
         for d in range(0, 5):
             g = SplitGraph(n, d)
             enumerate_fn = _enumerate_phi if n >= 6 else enumerate_sorted_recurrent
-            assert len(enumerate_fn(g)) == sorted_recurrent_count(n, d)
+            assert len(list(enumerate_fn(g))) == sorted_recurrent_count(n, d)
 
 
 def test_sink_then_stabilize_fixes_recurrents():

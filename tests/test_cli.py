@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import resource
@@ -8,12 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from splitpile import asm
+from splitpile import asm, cli
 from splitpile.asm import (
     InternalError,
     SplitGraph,
     _burn_sorted,
-    _enumerate_cached,
     enumerate_sorted_recurrent,
     format_config,
     height,
@@ -95,11 +95,26 @@ def test_enumerate_polyominoes_burns_each_candidate_once(capsys, monkeypatch):
         ["polyominoes"],
     ],
 )
-def test_enumerate_streams_without_filling_the_cache(capsys, argv):
-    _enumerate_cached.cache_clear()
-    code, out, _ = run_cli(capsys, "enumerate", argv[0], "-n", "3", "-d", "2", *argv[1:])
-    assert code == 0 and out
-    assert _enumerate_cached.cache_info().currsize == 0
+def test_enumerate_streams_without_filling_the_cache(monkeypatch, argv):
+    # rows go out while the enumeration runs: the output grows between the
+    # enumerator's first and last item, which a command that collected the
+    # set before writing would not show
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    written = []
+
+    def watched(real):
+        def items(graph):
+            for item in real(graph):
+                written.append(out.tell())
+                yield item
+
+        return items
+
+    for name in ("enumerate_sorted_recurrent", "iter_sorted_recurrent_groups"):
+        monkeypatch.setattr(cli, name, watched(getattr(cli, name)))
+    assert main(["enumerate", argv[0], "-n", "3", "-d", "2", *argv[1:]]) == 0
+    assert written and written[-1] > written[0]
 
 
 def _limit_memory():
@@ -318,6 +333,27 @@ def test_poly_mismatch_certificate(capsys, monkeypatch):
     certificate = json.loads(out)
     assert certificate["status"] == "mismatch"
     assert "egge" in certificate["differences"]
+
+
+@pytest.mark.parametrize(
+    "shifted, expected",
+    [(("cti",), 10), (("egge",), 4), (("cti", "egge"), 4)],
+    ids=["cti", "egge", "both"],
+)
+def test_poly_mismatch_exit_code_names_the_conjecture(capsys, monkeypatch, shifted, expected):
+    # f_cti is the conjectural method: a disagreement of it alone is a
+    # conjecture counterexample, one of a proved method is a mismatch
+    from splitpile.qtpoly import QtPolynomial
+
+    broken = dict(cli._METHODS)
+    for name in shifted:
+        broken[name] = lambda n, d, real=broken[name]: real(n, d) + QtPolynomial.monomial(0, 0)
+    monkeypatch.setattr(cli, "_METHODS", broken)
+    code, out, _ = run_cli(capsys, "poly", "-n", "2", "-d", "2", "--method", "all")
+    assert code == expected
+    certificate = json.loads(out)
+    assert certificate["status"] == "mismatch"
+    assert sorted(certificate["differences"]) == sorted(shifted)
 
 
 def test_verify_conjecture_counterexample_exit_code(capsys, monkeypatch):

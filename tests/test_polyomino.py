@@ -130,7 +130,7 @@ def test_thirty_polyominoes_of_s22():
     from test_asm import TABLE_22
 
     g = SplitGraph(2, 2)
-    recs = enumerate_sorted_recurrent(g)
+    recs = tuple(enumerate_sorted_recurrent(g))
     assert len(recs) == 30
     for c in recs:
         poly = from_config(g, c)

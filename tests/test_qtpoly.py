@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -350,6 +351,21 @@ def test_fiber_refines_the_sequence_sum():
             for w in words:
                 gf = gf + QtPolynomial.monomial(area(w), schroder_bounce(w))
             assert gf == itc_sum_term(seq), (n, d, seq)
+
+
+def test_brute_force_polynomial_streams_its_shape():
+    # S(5,3) has 12,012 sorted recurrent configurations; f_cti folds them
+    # one at a time and keeps none of them once it returns; the first call
+    # leaves out what any call loads once
+    f_cti(1, 0)
+    tracemalloc.start()
+    try:
+        assert f_cti(5, 3).evaluate(1, 1) == 12012
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+    assert held < 200_000
 
 
 def test_conjectured_cti_itc_equality_extended_evidence():

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from splitpile import asm
@@ -9,6 +11,7 @@ from splitpile.asm import (
     _burn_sorted,
     enumerate_sorted_recurrent,
     is_recurrent,
+    level,
     parse_config,
 )
 from splitpile.toppling import (
@@ -273,8 +276,57 @@ def test_trace_from_json_rejects_a_round_that_topples_nothing():
         trace_from_json(empty_round)
     # a round may still leave one part empty
     assert trace_from_json(
-        {"mode": "ITC", "rounds": [{"clique": [], "independent": [1]}]}
-    ) == ToppleTrace(ITC, (((0,), ()),))
+        {
+            "mode": "ITC",
+            "rounds": [{"clique": [], "independent": [1]}, {"clique": [1], "independent": []}],
+        }
+    ) == ToppleTrace(ITC, (((0,), ()), ((), (0,))))
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"mode": "CTI", "rounds": []},
+        {"mode": "ITC", "rounds": [{"clique": [], "independent": [1]}]},
+    ],
+)
+def test_trace_from_json_rejects_a_trace_without_a_clique_vertex(obj):
+    # every S(n,d) has n >= 1 clique vertices and each topples once
+    with pytest.raises(PreconditionError, match="trace topples no clique vertex"):
+        trace_from_json(obj)
+
+
+def _composition(sizes: tuple[int, ...]) -> tuple[int, ...]:
+    """Round sizes (s1+s2, s3+s4, ...) of a flattened block-size tuple."""
+    return tuple(x + y for x, y in zip(sizes[0::2], sizes[1::2]))
+
+
+def _law(counts: Counter, compose) -> Counter:
+    """The multiset of (level, compose(block sizes))."""
+    out = Counter()
+    for (lv, sizes), k in counts.items():
+        out[lv, compose(sizes)] += k
+    return out
+
+
+def test_level_is_equidistributed_with_the_round_composition():
+    """Level and the round-size composition have one joint law under CTI
+    and ITC on every shape with n+d <= 8.  Two wrong statements fail, so
+    the comparison can tell: the reversed ITC composition, and the
+    flattened block sizes, which split each round by part."""
+    shapes = [(n, total - n) for total in range(1, 9) for n in range(1, total + 1)]
+    reversed_differs = flat_differs = 0
+    for n, d in shapes:
+        g = SplitGraph(n, d)
+        cti, itc = Counter(), Counter()
+        for c in enumerate_sorted_recurrent(g):
+            cti[level(g, c), cti_sizes(g, c)] += 1
+            itc[level(g, c), itc_sizes(g, c)] += 1
+        assert _law(cti, _composition) == _law(itc, _composition), (n, d)
+        reversed_differs += _law(cti, _composition) != _law(itc, lambda s: _composition(s)[::-1])
+        flat_differs += cti != itc
+    assert len(shapes) == 36
+    assert (reversed_differs, flat_differs) == (33, 35)
 
 
 def test_sequences_match_toppling_images():
@@ -294,7 +346,7 @@ def test_fiber_sizes_sum_to_recurrent_count():
         fibers = Counter(
             itc_sequence_of_sizes(itc_sizes(g, c)) for c in enumerate_sorted_recurrent(g)
         )
-        assert sum(fibers.values()) == len(enumerate_sorted_recurrent(g))
+        assert sum(fibers.values()) == len(tuple(enumerate_sorted_recurrent(g)))
         assert set(fibers) == set(all_itc_sequences(n, d))
 
 

@@ -1,18 +1,26 @@
 import tracemalloc
+from unittest.mock import ANY
 
 import pytest
 
 from splitpile import cycle_lemma as cl
+from splitpile import polyomino as po
+from splitpile import qtpoly as qt
+from splitpile import schroder as sc
+from splitpile import toppling as tp
+from splitpile import verify as vf
 from splitpile.asm import (
     Config,
     PreconditionError,
     SplitGraph,
+    StabilizationTrace,
     enumerate_sorted_recurrent,
     format_config,
 )
 from splitpile.verify import (
     CONJECTURE_CHECKS,
     SUITES,
+    _recurrent,
     check_cycle_lemma,
     list_tasks,
     run_suite,
@@ -82,8 +90,9 @@ def test_failed_reports_carry_counterexamples():
 
 
 def test_cycle_lemma_check_holds_one_class_at_a_time():
-    # the enumeration cache is shared by every check, so it is filled first
-    enumerate_sorted_recurrent(SplitGraph(4, 3))
+    # verify keeps each shape's configurations for all its checks, so they
+    # are read first
+    _recurrent(4, 3)
     tracemalloc.start()
     try:
         assert check_cycle_lemma(4, 3) is None
@@ -117,7 +126,7 @@ def _member_outside_the_window(real):
 
 def _member_swapped_from_the_next_class(real):
     g = SplitGraph(2, 2)
-    first, second = enumerate_sorted_recurrent(g)[:2]
+    first, second = tuple(enumerate_sorted_recurrent(g))[:2]
     stranger = real(g, second)[-1]
 
     def members(graph, v):
@@ -152,9 +161,70 @@ def test_cycle_lemma_check_needs_v_in_its_class(monkeypatch):
     # the class of the next recurrent configuration passes every member
     # clause but the representative one; v's absence is reported first
     g = SplitGraph(2, 2)
-    first, second = enumerate_sorted_recurrent(g)[:2]
+    first, second = tuple(enumerate_sorted_recurrent(g))[:2]
     real = cl.class_members
     monkeypatch.setattr(
         cl, "class_members", lambda graph, v: real(graph, second if v == first else v)
     )
     assert check_cycle_lemma(2, 2) == {"config": format_config(first)}
+
+
+# each fault wraps the real function a check looks up when it runs
+def _plus_one(real):
+    return lambda *args: real(*args) + 1
+
+
+def _plus_one_polynomial(real):
+    return lambda *args: real(*args) + qt.QtPolynomial.monomial(0, 0)
+
+
+def _first_peak_dropped(real):
+    return lambda word: real(word)[1:]
+
+
+def _first_sequence_dropped(real):
+    return lambda n, d: real(n, d)[1:]
+
+
+def _stabilize_topples_nothing(real):
+    return lambda graph, config: StabilizationTrace(config, (0,) * (graph.n + graph.d + 1))
+
+
+_SHAPE = {"n": 2, "d": 2}
+
+
+# (module, attribute, fault, report, params, expected counterexample keys)
+_CERTIFICATE_CASES = [
+    (sc, "area", _plus_one, "area_equals_level", _SHAPE, {"config": ANY, "word": ANY}),
+    (sc, "schroder_bounce", _plus_one, "bounce_equals_wtopple", _SHAPE,
+     {"config": ANY, "word": ANY}),
+    (sc, "schroder_peaks", _first_peak_dropped, "peaks_coincide", _SHAPE,
+     {"got": ANY, "expected": ANY}),
+    (po, "area", _plus_one, "polyomino_statistics", _SHAPE, {"area": ANY}),
+    (tp, "all_itc_sequences", _first_sequence_dropped, "itc_sequence_description", _SHAPE,
+     {"only_one_side": ANY}),
+    (vf, "sorted_recurrent_count", _plus_one, "recurrent_count", _SHAPE,
+     {"enumerated": ANY, "formula": ANY}),
+    (qt, "egge_sum", _plus_one_polynomial, "itc_identity_chain", _SHAPE,
+     {"method": "egge_sum"}),
+    (qt, "f_cti", _plus_one_polynomial, "qt_cti_equals_itc", _SHAPE, {"difference": ANY}),
+    (tp, "count_itc", _plus_one, "sequence_counts", _SHAPE, {"k": ANY}),
+    (qt, "q_multinomial", _plus_one_polynomial, "hexagon_multinomial", {"limit": 4},
+     {"abc": ANY}),
+    (vf, "stabilize", _stabilize_topples_nothing, "burning_returns_start", _SHAPE,
+     {"config": ANY}),
+]
+
+
+@pytest.mark.parametrize(
+    "owner, name, fault, check, params, expected",
+    _CERTIFICATE_CASES,
+    ids=[case[3] for case in _CERTIFICATE_CASES],
+)
+def test_each_check_reports_its_certificate(monkeypatch, owner, name, fault, check, params, expected):
+    task = (check, dict(params))
+    assert run_task(task).ok
+    monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
+    report = run_task(task)
+    assert report.status == "fail"
+    assert {key: report.counterexample[key] for key in expected} == expected
