@@ -317,8 +317,7 @@ def _burn_sorted(
     """Counter form of the burning test for sorted stable configurations.
 
     ``a`` and ``b`` are the clique and independent parts, passed as plain
-    tuples so that enumeration can test a candidate before building its
-    :class:`Config`.  Burning a sorted configuration proceeds in rounds
+    tuples.  Burning a sorted configuration proceeds in rounds
     that always burn a prefix of the not-yet-burnt vertices of each part,
     because every unburnt vertex of a part has received the same number
     of grains.  Each round burns one part and then the other, clique
@@ -449,28 +448,74 @@ def iter_sorted_recurrent_groups(
     descending lex order of ``b``, of the independent parts that make a
     recurrent configuration with ``a`` and the CTI block sizes of its
     burning test.  Clique parts without such a ``b`` are skipped, so no
-    group is empty.  This is the one loop over sorted stable candidates:
-    the independent parts are built once per shape and every candidate
-    gets one counter-form burning test.
+    group is empty.  The rows are built from their burn blocks by
+    :func:`_rows_from_blocks`, so nothing is burnt and the cost grows
+    with the output, not with the sorted stable candidates.
     """
-    indep = tuple(weakly_decreasing_tuples(graph.d, graph.indep_degree - 1))
-    for a in weakly_decreasing_tuples(graph.n, graph.clique_degree - 1):
-        rows = [(b, sizes) for b in indep if (sizes := _burn_sorted(graph, a, b)) is not None]
+    n, d = graph.n, graph.d
+    for a in weakly_decreasing_tuples(n, graph.clique_degree - 1):
+        rows = _rows_from_blocks(n, d, a, 0, 0, graph.indep_degree - 1, {})
         if rows:
+            rows.sort(reverse=True)
             yield a, rows
+
+
+def _rows_from_blocks(
+    n: int, d: int, a: tuple[int, ...], bk: int, bi: int, hi: int, memo: dict
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The pairs ``(b[bi:], sizes)`` that end the burning of a recurrent
+    configuration ``(a; b)`` of S(n, d) from a round that starts with
+    ``bk`` clique and ``bi`` independent vertices burnt and no unburnt
+    independent vertex above ``hi`` grains, built from the CTI burn blocks
+    of :func:`_burn_sorted`.  The whole configuration starts at
+    ``(0, 0, n)``; ``memo`` holds the rows of each start for one ``a``,
+    so that they are built once and prefixed by each block.
+
+    The round's clique step is fixed by ``a``: it burns ``a[k]`` while
+    ``a[k] >= n + d - 1 - bk - bi``.  The ``m`` independent vertices it
+    then burns form a weakly decreasing run in ``[n - k, hi]``, and the
+    next round starts below that run, with ``hi = n - k - 1``.  Once every
+    clique vertex is burnt the rest of ``b`` burns.  Otherwise the next
+    round must burn ``a[k]``, or burning stalls, so
+    ``m >= n + d - 1 - k - bi - a[k]``; every branch therefore ends in a
+    recurrent configuration.
+    """
+    key = (bk, bi, hi)
+    if key in memo:
+        return memo[key]
+    top = n + d - 1
+    k = bk
+    while k < n and a[k] >= top - bk - bi:
+        k += 1
+    burnt, lo = k - bk, n - k
+    if k == n:
+        rows = [(run, (burnt, d - bi)) for run in weakly_decreasing_tuples(d - bi, hi)]
+    else:
+        rows = []
+        for m in range(max(0, top - k - bi - a[k]), d - bi + 1):
+            rest = _rows_from_blocks(n, d, a, k, bi + m, lo - 1, memo)
+            if not rest:
+                continue
+            block = (burnt, m)
+            for run in combinations_with_replacement(range(hi, lo - 1, -1), m):
+                rows += [(run + b, block + sizes) for b, sizes in rest]
+    memo[key] = rows
+    return rows
 
 
 def enumerate_sorted_recurrent(graph: SplitGraph) -> Iterator[Config]:
     """Sorted recurrent configurations, lexicographically decreasing, one at a time.
 
     The flattened groups of :func:`iter_sorted_recurrent_groups`: only
-    candidates that burn become a :class:`Config`, and nothing is kept
+    recurrent configurations become a :class:`Config`, and nothing is kept
     between calls, so memory grows with one group, not with the count.
-    A caller that reads a shape many times keeps its own tuple.
+    A caller that reads a shape many times keeps its own tuple; equal
+    independent parts are one tuple, so it holds each part once.
     """
+    parts: dict[tuple[int, ...], tuple[int, ...]] = {}
     for a, rows in iter_sorted_recurrent_groups(graph):
         for b, _ in rows:
-            yield Config(a, b)
+            yield Config(a, parts.setdefault(b, b))
 
 
 def _enumerate_phi(graph: SplitGraph) -> list[Config]:

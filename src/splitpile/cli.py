@@ -99,7 +99,8 @@ def _write_recurrent_rows(graph: SplitGraph, csv: bool, out) -> None:
     of block sizes and wtopple.  Each piece repeats across rows, so each
     is built once: the suffixes (text and grain sum) per shape, the
     prefix per group, and the tail per distinct block-size tuple.  The
-    CTI block sizes are the burning counter form, not a simulation.
+    CTI block sizes are the burn blocks the enumeration builds each row
+    from, not a simulation.
     """
     suffixes = {
         b: (";" + ",".join(map(str, b)) if b else "", sum(b))

@@ -173,11 +173,6 @@ def iter_quasistable_nonneg(graph: SplitGraph) -> Iterator[Config]:
             yield Config(a, b)
 
 
-def enumerate_quasistable_nonneg(graph: SplitGraph) -> list[Config]:
-    """All of :func:`iter_quasistable_nonneg` as a list."""
-    return list(iter_quasistable_nonneg(graph))
-
-
 def recurrent_representative(graph: SplitGraph, config: Config) -> Config:
     """The unique sorted recurrent configuration reachable by toppling,
     anti-toppling and sorting.

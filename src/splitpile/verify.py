@@ -76,9 +76,18 @@ def _recurrent(n: int, d: int) -> tuple[Config, ...]:
     return tuple(enumerate_sorted_recurrent(SplitGraph(n, d)))
 
 
+@lru_cache(maxsize=None)
+def _words(n: int, d: int) -> tuple[str, ...]:
+    """``mirror(phi_inv(c))`` for each configuration of :func:`_recurrent`,
+    in its order, so that the checks that convert the configurations
+    compute each word once; ``mirror`` is an involution, so it also gives
+    back ``phi_inv(c)``."""
+    return tuple(sc.mirror(sc.phi_inv(c)) for c in _recurrent(n, d))
+
+
 def check_phi_roundtrip(n: int, d: int) -> dict | None:
-    for c in _recurrent(n, d):
-        w = sc.phi_inv(c)
+    for c, word in zip(_recurrent(n, d), _words(n, d)):
+        w = sc.mirror(word)
         if sc.phi(w) != c:
             return {"config": format_config(c), "word": w}
     for w in sc.enumerate_schroder(n, d):
@@ -107,16 +116,15 @@ def check_sts_validity(n: int, d: int) -> dict | None:
 
 def check_from_config_route(n: int, d: int) -> dict | None:
     graph = SplitGraph(n, d)
-    for c in _recurrent(n, d):
-        if po.from_config(graph, c) != po.sts(sc.phi_inv(c)):
+    for c, w in zip(_recurrent(n, d), _words(n, d)):
+        if po.from_config(graph, c) != po.sts(sc.mirror(w)):
             return {"config": format_config(c)}
     return None
 
 
 def check_area_level(n: int, d: int) -> dict | None:
     graph = SplitGraph(n, d)
-    for c in _recurrent(n, d):
-        w = sc.mirror(sc.phi_inv(c))
+    for c, w in zip(_recurrent(n, d), _words(n, d)):
         if sc.area(w) != level(graph, c):
             return {"config": format_config(c), "word": w}
     return None
@@ -124,8 +132,7 @@ def check_area_level(n: int, d: int) -> dict | None:
 
 def check_bounce_wtopple(n: int, d: int) -> dict | None:
     graph = SplitGraph(n, d)
-    for c in _recurrent(n, d):
-        w = sc.mirror(sc.phi_inv(c))
+    for c, w in zip(_recurrent(n, d), _words(n, d)):
         if sc.schroder_bounce(w) != tp.wtopple_of_sizes(tp.itc_sizes(graph, c)) - (n + d):
             return {"config": format_config(c), "word": w}
     return None
@@ -135,8 +142,7 @@ def check_peaks_coincide(n: int, d: int) -> dict | None:
     """Geometric peaks match the loop formula from the ITC sequence, and
     the direct band-walk bounce path passes through exactly those peaks."""
     graph = SplitGraph(n, d)
-    for c in _recurrent(n, d):
-        w = sc.mirror(sc.phi_inv(c))
+    for c, w in zip(_recurrent(n, d), _words(n, d)):
         seq = tp.itc_sequence_of_sizes(tp.itc_sizes(graph, c))
         p, q = seq.a, seq.b
         k = seq.length

@@ -216,7 +216,7 @@ def test_criterion_09_cycle_lemma():
         for n in range(1, 5):
             for d in range(0, 4):
                 g = SplitGraph(n, d)
-                qsn = cl.enumerate_quasistable_nonneg(g)
+                qsn = list(cl.iter_quasistable_nonneg(g))
                 assert len(qsn) == cl.count_quasistable_nonneg(n, d)
                 owner = {}
                 recs = tuple(enumerate_sorted_recurrent(g))

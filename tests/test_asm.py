@@ -1,10 +1,13 @@
+import inspect
 import itertools
 import random
+import textwrap
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from splitpile import asm
 from splitpile.asm import (
     SINK,
     Config,
@@ -25,7 +28,9 @@ from splitpile.asm import (
     sorted_recurrent_count,
     stabilize,
     topple,
+    weakly_decreasing_tuples,
     _burn_rounds,
+    _burn_sorted,
     _enumerate_phi,
     _stabilize_raw,
 )
@@ -248,11 +253,58 @@ def test_enumeration_backends_agree():
             assert tuple(enumerate_sorted_recurrent(g)) == tuple(_enumerate_phi(g))
 
 
-def test_streaming_matches_phi_backend():
-    for n in range(1, 6):
-        for d in range(0, 5):
+def _candidate_groups(graph):
+    """The enumeration as a filter: every sorted stable candidate ``(a, b)``
+    through one counter-form burning test, grouped by clique part."""
+    indep = tuple(weakly_decreasing_tuples(graph.d, graph.indep_degree - 1))
+    for a in weakly_decreasing_tuples(graph.n, graph.clique_degree - 1):
+        rows = [(b, sizes) for b in indep if (sizes := _burn_sorted(graph, a, b)) is not None]
+        if rows:
+            yield a, rows
+
+
+def _off_by_one_rows_from_blocks():
+    """``asm._rows_from_blocks`` with the run bound of the next round off
+    by one: ``hi = lo`` instead of ``lo - 1``."""
+    source = textwrap.dedent(inspect.getsource(asm._rows_from_blocks))
+    right = "_rows_from_blocks(n, d, a, k, bi + m, lo - 1, memo)"
+    assert source.count(right) == 1
+    namespace = dict(vars(asm))
+    exec(source.replace(right, "_rows_from_blocks(n, d, a, k, bi + m, lo, memo)"), namespace)
+    return namespace["_rows_from_blocks"]
+
+
+def test_groups_match_the_candidate_loop():
+    # groups, row order and block sizes, on every shape with n <= 7,
+    # d <= 5 and n + d <= 10
+    for n in range(1, 8):
+        for d in range(0, min(5, 10 - n) + 1):
             g = SplitGraph(n, d)
-            assert list(enumerate_sorted_recurrent(g)) == _enumerate_phi(g)
+            assert list(iter_sorted_recurrent_groups(g)) == list(_candidate_groups(g)), (n, d)
+
+
+def test_groups_from_blocks_count_every_recurrent_configuration():
+    for n, d in [(7, 3), (6, 5)]:
+        rows = sum(len(rows) for _, rows in iter_sorted_recurrent_groups(SplitGraph(n, d)))
+        assert rows == sorted_recurrent_count(n, d)
+    assert sorted_recurrent_count(7, 3) == 291_720
+
+
+def test_groups_from_blocks_burn_nothing(monkeypatch):
+    def burn(*args, **kwargs):
+        raise AssertionError("the enumeration ran a burning test")
+
+    monkeypatch.setattr(asm, "_burn_sorted", burn)
+    for n, d in [(1, 0), (3, 2), (4, 3), (5, 1)]:
+        assert sum(1 for _ in iter_sorted_recurrent_groups(SplitGraph(n, d)))
+
+
+def test_groups_from_blocks_catch_an_off_by_one_run_bound(monkeypatch):
+    shapes = [SplitGraph(n, d) for n in range(1, 6) for d in range(0, 5)]
+    expected = [list(_candidate_groups(g)) for g in shapes]
+    monkeypatch.setattr(asm, "_rows_from_blocks", _off_by_one_rows_from_blocks())
+    wrong = [g for g, groups in zip(shapes, expected) if list(iter_sorted_recurrent_groups(g)) != groups]
+    assert len(wrong) == 19
 
 
 def test_streamed_sizes_are_the_cti_sizes():

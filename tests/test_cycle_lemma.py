@@ -28,10 +28,10 @@ from splitpile.cycle_lemma import (
     apply_word,
     class_members,
     count_quasistable_nonneg,
-    enumerate_quasistable_nonneg,
     identity_check,
     is_compact,
     is_quasistable,
+    iter_quasistable_nonneg,
     recurrent_representative,
     sink_height,
     spread,
@@ -171,11 +171,11 @@ def test_weight_laws():
 
 
 def test_quasistable_enumeration():
-    qsn = enumerate_quasistable_nonneg(G22)
+    qsn = list(iter_quasistable_nonneg(G22))
     assert len(qsn) == 90 == count_quasistable_nonneg(2, 2)
     assert count_quasistable_nonneg(1, 0) == 2
     g10 = SplitGraph(1, 0)
-    assert enumerate_quasistable_nonneg(g10) == [Config((1,), ()), Config((0,), ())]
+    assert list(iter_quasistable_nonneg(g10)) == [Config((1,), ()), Config((0,), ())]
     assert count_quasistable_nonneg(2, 2) == (2 + 1) * 30
 
 
@@ -206,7 +206,7 @@ def test_class_members_examples():
 def test_cycle_lemma_partition():
     for n, d in [(1, 0), (1, 2), (2, 2), (3, 2), (4, 3)]:
         g = SplitGraph(n, d)
-        qsn = enumerate_quasistable_nonneg(g)
+        qsn = list(iter_quasistable_nonneg(g))
         assert len(qsn) == count_quasistable_nonneg(n, d)
         owner = {}
         for v in enumerate_sorted_recurrent(g):
@@ -247,7 +247,7 @@ def test_representative_identifies_classes():
     for v in enumerate_sorted_recurrent(g):
         for m in class_members(g, v):
             owner[m] = v
-    for m in enumerate_quasistable_nonneg(g):
+    for m in iter_quasistable_nonneg(g):
         assert recurrent_representative(g, m) == owner[m]
 
 
@@ -255,7 +255,7 @@ def test_shift_permutes_quasistable_in_cycles_of_n_plus_1():
     for n in range(1, 5):
         for d in range(4):
             g = SplitGraph(n, d)
-            qsn = set(enumerate_quasistable_nonneg(g))
+            qsn = set(iter_quasistable_nonneg(g))
             assert {_shift(g, u) for u in qsn} == qsn
             unseen = set(qsn)
             while unseen:
@@ -272,7 +272,7 @@ def test_shift_is_ts_then_ti_then_tw():
     for n in range(1, 5):
         for d in range(4):
             g = SplitGraph(n, d)
-            for u in enumerate_quasistable_nonneg(g):
+            for u in iter_quasistable_nonneg(g):
                 w = cycle_lemma._step(g, TS, u)
                 while w.independent and w.independent[0] > n:
                     w = cycle_lemma._step(g, TI, w)
