@@ -7,11 +7,18 @@ mismatch, 5 internal error (an invariant failed: a bug, not bad input),
 a one-line JSON certificate {"status": "internal-error", "message": ...}
 on stderr; inside verify the check's report has status "error", and
 exit 5 takes precedence over 4 and 10.
+
+verify writes one JSON line per check as the check finishes, in the
+suite table's order for any --jobs; with --jobs N a line waits for the
+checks listed before it.  The stderr summary and the exit code come
+after the last report.  A PreconditionError raised inside a check
+leaves the earlier reports on stdout and exits 3.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -244,14 +251,19 @@ def _print_poly(poly: qt.QtPolynomial, fmt: str) -> None:
 
 def cmd_verify(args) -> int:
     reports = vf.run_suite(args.suite, args.max_n, args.max_d, jobs=_jobs(args))
-    failed = [r for r in reports if not r.ok]
-    for r in reports:
-        obj = r.to_json()
-        if not args.timings:
-            obj.pop("seconds", None)  # keep output byte-deterministic
-        sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
-    summary = f"{len(reports) - len(failed)}/{len(reports)} checks passed"
-    sys.stderr.write(summary + "\n")
+    total, failed = 0, []
+    # closed however the loop ends, so a reader that leaves early stops the pool
+    with contextlib.closing(reports):
+        for r in reports:
+            obj = r.to_json()
+            if not args.timings:
+                obj.pop("seconds", None)  # keep output byte-deterministic
+            sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
+            sys.stdout.flush()
+            total += 1
+            if not r.ok:
+                failed.append(r)
+    sys.stderr.write(f"{total - len(failed)}/{total} checks passed\n")
     if not failed:
         return EXIT_OK
     if any(r.status == "error" for r in failed):

@@ -10,7 +10,6 @@ vertex topples exactly once and the original configuration returns.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from itertools import accumulate, combinations_with_replacement
 from typing import Iterator
@@ -19,7 +18,6 @@ from .asm import (
     Config,
     PreconditionError,
     SplitGraph,
-    _reading_json,
     _require_sorted_recurrent,
 )
 
@@ -90,57 +88,6 @@ def cti_sizes(graph: SplitGraph, config: Config) -> tuple[int, ...]:
 def itc_sizes(graph: SplitGraph, config: Config) -> tuple[int, ...]:
     """Sizes of the ITC trace without materializing vertex sets."""
     return _require_sorted_recurrent(graph, config, clique_first=False)
-
-
-def trace_to_json(trace: ToppleTrace) -> dict:
-    """1-based vertex labels, clique and independent parts kept separate."""
-    rounds = []
-    for first, second in trace.rounds:
-        clique, indep = (first, second) if trace.mode == CTI else (second, first)
-        rounds.append(
-            {
-                "clique": [i + 1 for i in clique],
-                "independent": [j + 1 for j in indep],
-            }
-        )
-    return {"mode": trace.mode, "rounds": rounds}
-
-
-def trace_from_json(obj: dict) -> ToppleTrace:
-    """Read :func:`trace_to_json`'s form.  The JSON names no n and d, so
-    only labels below 1, labels repeated within a part (each vertex
-    topples once), rounds that topple nothing and a trace without a
-    clique label (every S(n, d) has n >= 1 clique vertices) can be
-    refused."""
-    with _reading_json("trace"):
-        mode = obj["mode"]
-        if mode not in (CTI, ITC):
-            raise PreconditionError(f"unknown trace mode {mode!r}")
-        rounds = []
-        seen_clique: set[int] = set()
-        seen_indep: set[int] = set()
-        for i, r in enumerate(obj["rounds"], 1):
-            clique = _indices(r["clique"], "clique", seen_clique)
-            indep = _indices(r["independent"], "independent", seen_indep)
-            if not clique and not indep:
-                raise PreconditionError(f"trace round {i} topples no vertex")
-            rounds.append((clique, indep) if mode == CTI else (indep, clique))
-        if not seen_clique:
-            raise PreconditionError("trace topples no clique vertex; S(n,d) has n >= 1 of them")
-    return ToppleTrace(mode, tuple(rounds))
-
-
-def _indices(labels, part: str, seen: set[int]) -> tuple[int, ...]:
-    """0-based indices of one round's 1-based labels of one part."""
-    out = []
-    for label in map(operator.index, labels):
-        if label < 1:
-            raise PreconditionError(f"{part} label {label} names no vertex")
-        if label in seen:
-            raise PreconditionError(f"{part} vertex {label} topples twice in the trace")
-        seen.add(label)
-        out.append(label - 1)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Generator
 
 from . import cycle_lemma as cl
 from . import polyomino as po
@@ -348,8 +349,12 @@ def check_conjecture_cti_schroder(n: int, d: int) -> dict | None:
 
 def check_fiber_intervals(n: int, d: int) -> dict | None:
     """Every ITC fiber is the triangle-containment interval between the
-    two extremal words."""
-    fibers = qt.itc_fibers(n, d)
+    two extremal words.  The fibers are :func:`qtpoly.itc_fibers`, grouped
+    here from the words :func:`_words` already holds."""
+    graph = SplitGraph(n, d)
+    fibers: dict[tp.ItcSequence, list[str]] = {}
+    for c, w in zip(_recurrent(n, d), _words(n, d)):
+        fibers.setdefault(tp.itc_sequence_of_sizes(tp.itc_sizes(graph, c)), []).append(w)
     described = set(tp.all_itc_sequences(n, d))
     if set(fibers) != described:
         return {"fibers": len(fibers), "described": len(described)}
@@ -507,11 +512,25 @@ def run_task(task: tuple[str, dict]) -> VerificationReport:
     return rep
 
 
-def run_suite(suite: str, max_n: int, max_d: int, jobs: int = 1) -> list[VerificationReport]:
+def run_suite(
+    suite: str, max_n: int, max_d: int, jobs: int = 1
+) -> Generator[VerificationReport, None, None]:
+    """A lazy iterator over the reports of :func:`list_tasks`, in its order
+    for any ``jobs``; each report comes as soon as it and every report
+    before it are done.  The arguments are checked at the call, so a bad
+    suite or range raises :class:`PreconditionError` before any check runs.
+    Closing the iterator early cancels the checks not yet started."""
     tasks = list_tasks(suite, max_n, max_d)
-    if jobs <= 1 or len(tasks) <= 1:
-        return [run_task(t) for t in tasks]
+    return _run_tasks(tasks, min(jobs, len(tasks)))
+
+
+def _run_tasks(
+    tasks: list[tuple[str, dict]], jobs: int
+) -> Generator[VerificationReport, None, None]:
+    if jobs <= 1:
+        yield from map(run_task, tasks)
+        return
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(run_task, tasks))
+        yield from pool.map(run_task, tasks)

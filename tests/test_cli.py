@@ -1,10 +1,13 @@
+import contextlib
 import io
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -307,6 +310,72 @@ def test_verify_output_byte_deterministic(capsys):
     assert "seconds" not in out1
     _, timed, _ = run_cli(capsys, "verify", "bijections", "--max-n", "1", "--max-d", "0", "--timings")
     assert all("seconds" in json.loads(line) for line in timed.strip().splitlines())
+
+
+class _FlushRecorder(io.StringIO):
+    """Standard output that keeps what it held at its last flush."""
+
+    flushed = ""
+
+    def flush(self):
+        self.flushed = self.getvalue()
+        super().flush()
+
+
+def test_verify_flushes_each_report_before_the_next_check(monkeypatch):
+    out = _FlushRecorder()
+    seen = []
+
+    def check(n, d):
+        seen.append(out.flushed)
+
+    from splitpile import verify as vf
+
+    monkeypatch.setattr(vf, "_CHECK_FUNCS", dict.fromkeys(vf._CHECK_FUNCS, check))
+    monkeypatch.setattr(sys, "stdout", out)
+    code = main(["--jobs", "1", "verify", "cycle-lemma", "--max-n", "1", "--max-d", "0"])
+    lines = out.getvalue().splitlines(keepends=True)
+    assert code == 0
+    assert [json.loads(line)["check"] for line in lines] == [
+        "operator_laws", "weight_laws", "class_partition",
+    ]
+    assert seen == ["", lines[0], lines[0] + lines[1]]
+
+
+def _kill_group(pid):
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(pid, signal.SIGKILL)
+
+
+def test_verify_pool_stops_when_the_reader_leaves():
+    # the reader closes the pipe after the first report: the command must
+    # cancel the checks not yet started and end cleanly, and stderr reaches
+    # its end only once no worker of the pool holds it open
+    start = time.monotonic()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "splitpile.cli", "--jobs", "2", "verify", "all",
+         "--max-n", "3", "--max-d", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+        start_new_session=True,
+    )
+    watchdog = threading.Timer(60, _kill_group, (proc.pid,))
+    watchdog.start()
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait()
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)  # no worker outlives the command
+    finally:
+        watchdog.cancel()
+        _kill_group(proc.pid)
+        proc.wait()
+        proc.stderr.close()
+    assert first == b'{"check":"phi_roundtrip","params":{"n":1,"d":0},"status":"pass"}\n'
+    assert code == 0
+    assert err == b""
+    assert time.monotonic() - start < 60
 
 
 def test_verify_rejects_empty_shape_range(capsys):

@@ -18,7 +18,6 @@ from splitpile.toppling import (
     CTI,
     ITC,
     ItcSequence,
-    ToppleTrace,
     all_itc_sequences,
     canonical_config,
     compositions,
@@ -31,8 +30,6 @@ from splitpile.toppling import (
     itc_sizes,
     topple_cti,
     topple_itc,
-    trace_from_json,
-    trace_to_json,
     wtopple,
 )
 
@@ -180,14 +177,6 @@ def test_every_vertex_topples_once():
             assert all(first or second for first, second in trace.rounds)
 
 
-def test_trace_json_roundtrip():
-    trace = topple_itc(G53, C53)
-    obj = trace_to_json(trace)
-    assert obj["mode"] == "ITC"
-    assert obj["rounds"][0] == {"clique": [1, 2], "independent": [1]}
-    assert trace_from_json(obj) == trace
-
-
 def test_itc_sequence_regrouping():
     assert itc_sequence_of(topple_itc(G53, C53)) == ItcSequence((1, 2, 0), (2, 2, 1))
     assert itc_sequence_of(topple_itc(G22, parse_config("3,3;2,2"))) == ItcSequence((2,), (2,))
@@ -236,64 +225,6 @@ def test_compositions_have_no_zero_parts_and_sequences_need_a_graph():
         for call in (enumerate_itc_sequences, all_itc_sequences, count_itc):
             with pytest.raises(PreconditionError, match=r"need n >= 1 and d >= 0"):
                 call(n, d)
-
-
-def test_trace_from_json_rejects_malformed_objects():
-    good = trace_to_json(topple_itc(G53, C53))
-    for bad in (
-        {"mode": "CTI"},
-        {"mode": "ITC", "rounds": [{"clique": [1]}]},
-        {"mode": "ITC", "rounds": [{"clique": ["1"], "independent": []}]},
-        {**good, "rounds": [{"clique": [1.5], "independent": []}]},
-        [],
-    ):
-        with pytest.raises(PreconditionError, match="bad trace JSON"):
-            trace_from_json(bad)
-
-
-def test_trace_from_json_rejects_labels_that_name_no_vertex():
-    bad_label = {"mode": "CTI", "rounds": [{"clique": [0, 0, 99], "independent": [-4]}]}
-    with pytest.raises(PreconditionError, match="clique label 0 names no vertex"):
-        trace_from_json(bad_label)
-    repeated = {
-        "mode": "ITC",
-        "rounds": [{"clique": [1], "independent": [2]}, {"clique": [], "independent": [2]}],
-    }
-    with pytest.raises(PreconditionError, match="independent vertex 2 topples twice"):
-        trace_from_json(repeated)
-    # the two parts label their vertices separately
-    assert trace_from_json(
-        {"mode": "CTI", "rounds": [{"clique": [1], "independent": [1]}]}
-    ) == ToppleTrace(CTI, (((0,), (0,)),))
-
-
-def test_trace_from_json_rejects_a_round_that_topples_nothing():
-    empty_round = {
-        "mode": "CTI",
-        "rounds": [{"clique": [1], "independent": []}, {"clique": [], "independent": []}],
-    }
-    with pytest.raises(PreconditionError, match="trace round 2 topples no vertex"):
-        trace_from_json(empty_round)
-    # a round may still leave one part empty
-    assert trace_from_json(
-        {
-            "mode": "ITC",
-            "rounds": [{"clique": [], "independent": [1]}, {"clique": [1], "independent": []}],
-        }
-    ) == ToppleTrace(ITC, (((0,), ()), ((), (0,))))
-
-
-@pytest.mark.parametrize(
-    "obj",
-    [
-        {"mode": "CTI", "rounds": []},
-        {"mode": "ITC", "rounds": [{"clique": [], "independent": [1]}]},
-    ],
-)
-def test_trace_from_json_rejects_a_trace_without_a_clique_vertex(obj):
-    # every S(n,d) has n >= 1 clique vertices and each topples once
-    with pytest.raises(PreconditionError, match="trace topples no clique vertex"):
-        trace_from_json(obj)
 
 
 def _composition(sizes: tuple[int, ...]) -> tuple[int, ...]:

@@ -21,7 +21,9 @@ from splitpile.verify import (
     CONJECTURE_CHECKS,
     SUITES,
     _recurrent,
+    _words,
     check_cycle_lemma,
+    check_fiber_intervals,
     list_tasks,
     run_suite,
     run_task,
@@ -30,7 +32,7 @@ from splitpile.verify import (
 
 def test_suites_all_pass_small():
     for suite in ("bijections", "theorems", "cycle-lemma", "conjectures", "appendix"):
-        reports = run_suite(suite, 2, 2)
+        reports = list(run_suite(suite, 2, 2))
         assert reports, suite
         assert all(r.ok for r in reports), [r.to_json() for r in reports if not r.ok]
 
@@ -58,6 +60,24 @@ def test_tasks_are_deterministic_and_runnable():
 def test_unknown_suite_is_a_precondition_error():
     with pytest.raises(PreconditionError, match="unknown suite 'bogus'"):
         list_tasks("bogus", 2, 1)
+
+
+@pytest.mark.parametrize("args", [("bogus", 2, 1), ("theorems", 0, 1)], ids=["suite", "range"])
+def test_run_suite_refuses_bad_arguments_at_the_call(args):
+    # the call raises, not the first report asked for
+    with pytest.raises(PreconditionError):
+        run_suite(*args)
+
+
+def test_run_suite_runs_each_check_when_its_report_is_asked_for(monkeypatch):
+    ran = []
+    monkeypatch.setattr(vf, "run_task", lambda task: ran.append(task) or run_task(task))
+    reports = run_suite("cycle-lemma", 1, 0)
+    assert ran == []
+    first = next(reports)
+    assert [name for name, _ in ran] == [first.check] == ["operator_laws"]
+    assert [r.check for r in reports] == ["weight_laws", "class_partition"]
+    assert len(ran) == 3
 
 
 def test_parallel_matches_serial():
@@ -169,6 +189,16 @@ def test_cycle_lemma_check_needs_v_in_its_class(monkeypatch):
     assert check_cycle_lemma(2, 2) == {"config": format_config(first)}
 
 
+def test_fiber_check_groups_the_words_verify_holds(monkeypatch):
+    _words(3, 2)
+
+    def phi_inv(config):
+        raise AssertionError(f"phi_inv({format_config(config)}) converted again")
+
+    monkeypatch.setattr(sc, "phi_inv", phi_inv)
+    assert check_fiber_intervals(3, 2) is None
+
+
 # each fault wraps the real function a check looks up when it runs
 def _plus_one(real):
     return lambda *args: real(*args) + 1
@@ -184,6 +214,10 @@ def _first_peak_dropped(real):
 
 def _first_sequence_dropped(real):
     return lambda n, d: real(n, d)[1:]
+
+
+def _first_fiber_word_dropped(real):
+    return lambda seq: real(seq)[1:]
 
 
 def _stabilize_topples_nothing(real):
@@ -209,6 +243,8 @@ _CERTIFICATE_CASES = [
      {"method": "egge_sum"}),
     (qt, "f_cti", _plus_one_polynomial, "qt_cti_equals_itc", _SHAPE, {"difference": ANY}),
     (tp, "count_itc", _plus_one, "sequence_counts", _SHAPE, {"k": ANY}),
+    (qt, "fiber_words", _first_fiber_word_dropped, "fiber_intervals", _SHAPE,
+     {"construction_mismatch": True}),
     (qt, "q_multinomial", _plus_one_polynomial, "hexagon_multinomial", {"limit": 4},
      {"abc": ANY}),
     (vf, "stabilize", _stabilize_topples_nothing, "burning_returns_start", _SHAPE,
