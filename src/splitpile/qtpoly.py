@@ -13,6 +13,7 @@ the independent references.
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
@@ -195,11 +196,18 @@ def q_binomial(m: int, k: int) -> QtPolynomial:
     return QtPolynomial({(e, 0): c for e, c in enumerate(row[k])})
 
 
+def _multinomial_binomials(a: int, b: int, c: int) -> tuple[tuple[int, int], ...]:
+    """The (m, k) of the Gaussian binomials [m; k]_q whose product is
+    [a+b+c choose a, b, c]_q: [a+b+c choose a]_q [b+c choose b]_q."""
+    return (a + b + c, a), (b + c, b)
+
+
 def q_multinomial(a: int, b: int, c: int) -> QtPolynomial:
     """[a+b+c choose a, b, c]_q = [a+b+c choose a]_q [b+c choose b]_q."""
     if a < 0 or b < 0 or c < 0:
         raise PreconditionError(f"need a, b, c >= 0, got ({a}, {b}, {c})")
-    return q_binomial(a + b + c, a) * q_binomial(b + c, b)
+    (m1, k1), (m2, k2) = _multinomial_binomials(a, b, c)
+    return q_binomial(m1, k1) * q_binomial(m2, k2)
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +245,10 @@ def qt_schroder(n: int, d: int) -> QtPolynomial:
     return QtPolynomial(out)
 
 
-def _add_shifted(out: dict[tuple[int, int], int], poly: QtPolynomial, qexp: int, texp: int) -> None:
-    """Add q^qexp t^texp * poly into the term map ``out``."""
-    for (qe, te), c in poly.terms.items():
-        key = (qe + qexp, te + texp)
-        out[key] = out.get(key, 0) + c
+def _slot_bytes(total: int) -> int:
+    """Bytes per packed coefficient: every coefficient of a polynomial with
+    non-negative coefficients is at most its value ``total`` at q = t = 1."""
+    return (total.bit_length() + 7) // 8
 
 
 def _round_sum(n: int, d: int, factor) -> QtPolynomial:
@@ -252,25 +259,71 @@ def _round_sum(n: int, d: int, factor) -> QtPolynomial:
     for the sink); only the last round may topple no clique vertex.  It
     contributes q^C(a,2) t^left factor(a, b, prev - 1), where left counts
     the vertices still to topple after it, so t collects
-    sum_i (i-1)(a_i+b_i) over the sequence.  The value is memoized on
-    (clique left, independent left, prev), not summed term by term.
+    sum_i (i-1)(a_i+b_i) over the sequence, and factor names the
+    Gaussian binomials [m; k]_q, as (m, k) pairs, whose product is the
+    round's factor.  The value is memoized on (clique left, independent
+    left, prev), not summed term by term.
+
+    The recursion runs twice on integers: once at q = t = 1, which gives
+    the value ``total``, and once Kronecker-packed, with q^i t^j as
+    2^(8w (i + Q j)), so that a product is one big-integer product and
+    the round's monomial a shift.  Every coefficient is at most
+    ``total``, so w bytes of its bit length hold one.  Both sums are
+    level generating functions, so no q-degree exceeds the top level of
+    S(n, d) and Q, the top level plus one, keeps q from spilling into t.
+    A coefficient too large for its slot carries into the next one and
+    lowers the sum of the slots, so that sum must equal ``total``.
     """
-    SplitGraph(n, d)  # refuses a bad shape
+    graph = SplitGraph(n, d)  # refuses a bad shape
+    total = _round_recursion(n, d, factor, math.comb, 0, 0)
+    width = _slot_bytes(total)
+    top_height = n * (graph.clique_degree - 1) + d * (graph.indep_degree - 1)
+    stride = top_height - graph.nonsink_edges + 1  # Q, the top level plus one
+    bits = 8 * width
 
     @lru_cache(maxsize=None)
-    def rounds(clique: int, indep: int, prev: int) -> QtPolynomial:
+    def packed_binomial(m: int, k: int) -> int:
+        return sum(c << (bits * qe) for (qe, _te), c in q_binomial(m, k).terms.items())
+
+    packed = _round_recursion(n, d, factor, packed_binomial, bits, bits * stride)
+    slots = -(-packed.bit_length() // bits)
+    raw = packed.to_bytes(slots * width, "little")
+    terms = {}
+    for slot in range(slots):
+        c = int.from_bytes(raw[slot * width : (slot + 1) * width], "little")
+        if c:
+            te, qe = divmod(slot, stride)
+            terms[(qe, te)] = c
+    if sum(terms.values()) != total:
+        raise InternalError(
+            f"the packed round sum of S({n},{d}) overflowed its {width}-byte slots:"
+            f" its coefficients add up to {sum(terms.values())}, not {total}"
+        )
+    return QtPolynomial(terms)
+
+
+def _round_recursion(n: int, d: int, factor, binomial, qbits: int, tbits: int) -> int:
+    """The rounds of :func:`_round_sum` on integers: ``binomial(m, k)``
+    stands for [m; k]_q, and q^i t^j for a left shift by
+    i qbits + j tbits."""
+
+    @lru_cache(maxsize=None)
+    def rounds(clique: int, indep: int, prev: int) -> int:
         # the rounds still to come when the previous round toppled prev clique vertices
-        out: dict[tuple[int, int], int] = {}
+        out = 0
         for a in range(clique + 1):
+            shift = a * (a - 1) // 2 * qbits
             for b in range(indep + 1):
                 left = clique + indep - a - b
                 if left and not a:
                     continue  # only the final round may topple no clique vertex
-                step = factor(a, b, prev - 1)
+                step = 1
+                for m, k in factor(a, b, prev - 1):
+                    step *= binomial(m, k)
                 if left:
-                    step = step * rounds(clique - a, indep - b, a)
-                _add_shifted(out, step, a * (a - 1) // 2, left)
-        return QtPolynomial(out)
+                    step *= rounds(clique - a, indep - b, a)
+                out += step << (shift + left * tbits)
+        return out
 
     try:
         return rounds(n, d, 1)
@@ -292,7 +345,7 @@ def egge_sum(n: int, d: int) -> QtPolynomial:
     = [beta_k, 0, alpha_k-1] is the last round, which topples no clique
     vertex.
     """
-    return _round_sum(n, d, lambda alpha, beta, c: q_multinomial(beta, alpha, c))
+    return _round_sum(n, d, lambda alpha, beta, c: _multinomial_binomials(beta, alpha, c))
 
 
 def itc_sum(n: int, d: int) -> QtPolynomial:
@@ -304,7 +357,7 @@ def itc_sum(n: int, d: int) -> QtPolynomial:
     uses the same formula with all b_i = 0.  This is :func:`_round_sum`
     with the factor [a, b, prev-1].
     """
-    return _round_sum(n, d, q_multinomial)
+    return _round_sum(n, d, _multinomial_binomials)
 
 
 def itc_sum_term(seq: toppling.ItcSequence) -> QtPolynomial:

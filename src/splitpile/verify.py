@@ -86,6 +86,15 @@ def _words(n: int, d: int) -> tuple[str, ...]:
     return tuple(sc.mirror(sc.phi_inv(c)) for c in _recurrent(n, d))
 
 
+@lru_cache(maxsize=None)
+def _polynomial(method, n: int, d: int) -> qt.QtPolynomial:
+    """``method(n, d)`` for a polynomial method of :mod:`qtpoly`, computed
+    once per shape for the checks that compare the same methods; keyed by
+    the function object looked up at the call, so a replaced method is
+    computed afresh."""
+    return method(n, d)
+
+
 def check_phi_roundtrip(n: int, d: int) -> dict | None:
     for c, word in zip(_recurrent(n, d), _words(n, d)):
         w = sc.mirror(word)
@@ -206,13 +215,13 @@ def check_counts(n: int, d: int) -> dict | None:
 
 def check_identity_chain(n: int, d: int) -> dict | None:
     """Proved equalities: f_itc = qt_schroder = egge_sum = itc_sum."""
-    reference = qt.f_itc(n, d)
+    reference = _polynomial(qt.f_itc, n, d)
     for name, fn in (
         ("qt_schroder", qt.qt_schroder),
         ("egge_sum", qt.egge_sum),
         ("itc_sum", qt.itc_sum),
     ):
-        other = fn(n, d)
+        other = _polynomial(fn, n, d)
         if other != reference:
             return {"method": name, "difference": (other - reference).to_json()}
     if reference.evaluate(1, 1) != sorted_recurrent_count(n, d):
@@ -332,16 +341,16 @@ def check_weight_laws(n: int, d: int) -> dict | None:
 
 
 def check_conjecture_cti_itc(n: int, d: int) -> dict | None:
-    a = qt.f_cti(n, d)
-    b = qt.f_itc(n, d)
+    a = _polynomial(qt.f_cti, n, d)
+    b = _polynomial(qt.f_itc, n, d)
     if a != b:
         return {"difference": (a - b).to_json()}
     return None
 
 
 def check_conjecture_cti_schroder(n: int, d: int) -> dict | None:
-    a = qt.f_cti(n, d)
-    b = qt.qt_schroder(n, d)
+    a = _polynomial(qt.f_cti, n, d)
+    b = _polynomial(qt.qt_schroder, n, d)
     if a != b:
         return {"difference": (a - b).to_json()}
     return None

@@ -1,9 +1,11 @@
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from splitpile.asm import PreconditionError, SplitGraph, sorted_recurrent_count
+from splitpile import qtpoly
+from splitpile.asm import InternalError, PreconditionError, SplitGraph, sorted_recurrent_count
 from splitpile.qtpoly import (
     QtPolynomial,
     _round_sum,
@@ -211,13 +213,76 @@ def test_itc_sum_equals_sum_over_sequences():
             assert itc_sum(n, d) == sum(terms, QtPolynomial.zero()), (n, d)
 
 
+def _unit_factor(a: int, b: int, c: int) -> tuple:
+    return ()  # the empty product of Gaussian binomials
+
+
 def test_round_sum_counts_itc_sequences():
     """With a unit factor the shared round recursion counts ITC toppling
     sequences, so its round rule agrees with ItcSequence.blocks()."""
     for n in range(1, 6):
         for d in range(0, 5):
-            count = _round_sum(n, d, lambda a, b, c: QtPolynomial.one()).evaluate(1, 1)
+            count = _round_sum(n, d, _unit_factor).evaluate(1, 1)
             assert count == count_itc(n, d) == len(all_itc_sequences(n, d)), (n, d)
+
+
+def _dict_round_sum(n: int, d: int, factor) -> QtPolynomial:
+    """The round recursion of _round_sum on term maps, with factor(a, b,
+    prev - 1) a polynomial: the reference for the packed evaluation."""
+
+    @lru_cache(maxsize=None)
+    def rounds(clique: int, indep: int, prev: int) -> QtPolynomial:
+        out = QtPolynomial.zero()
+        for a in range(clique + 1):
+            for b in range(indep + 1):
+                left = clique + indep - a - b
+                if left and not a:
+                    continue
+                step = factor(a, b, prev - 1)
+                if left:
+                    step = step * rounds(clique - a, indep - b, a)
+                out = out + QtPolynomial.monomial(a * (a - 1) // 2, left) * step
+        return out
+
+    return rounds(n, d, 1)
+
+
+def test_packed_round_sum_matches_the_term_map_recursion():
+    shapes = [(n, d) for n in range(1, 9) for d in range(0, 6) if n + d <= 11]
+    for n, d in shapes:
+        assert itc_sum(n, d) == _dict_round_sum(n, d, q_multinomial), (n, d)
+        egge = _dict_round_sum(n, d, lambda alpha, beta, c: q_multinomial(beta, alpha, c))
+        assert egge_sum(n, d) == egge, (n, d)
+        unit = _dict_round_sum(n, d, lambda a, b, c: QtPolynomial.one())
+        assert _round_sum(n, d, _unit_factor) == unit, (n, d)
+
+
+def test_round_sum_multiplies_no_polynomials(monkeypatch):
+    # the packed recursion multiplies integers; the only polynomials it
+    # reads are the Gaussian binomials, which are built without products
+    real = QtPolynomial.__mul__
+    products = []
+
+    def counted(self, other):
+        products.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(QtPolynomial, "__mul__", counted)
+    q_binomial.cache_clear()
+    assert itc_sum(5, 3).evaluate(1, 1) == sorted_recurrent_count(5, 3)
+    assert products == []
+
+
+def test_packed_round_sum_refuses_an_overflowing_slot(monkeypatch):
+    # S(7,4)'s largest coefficient, 7,741, needs 13 bits; two bytes hold
+    # it, one byte carries into the next slot
+    assert max(itc_sum(7, 4).terms.values()).bit_length() == 13
+    monkeypatch.setattr(qtpoly, "_slot_bytes", lambda total: 2)
+    assert itc_sum(7, 4) == _dict_round_sum(7, 4, q_multinomial)
+    monkeypatch.setattr(qtpoly, "_slot_bytes", lambda total: 1)
+    for fn in (itc_sum, egge_sum):
+        with pytest.raises(InternalError, match="overflowed its 1-byte slots"):
+            fn(7, 4)
 
 
 def _neg_x_pochhammer(a: int) -> QtPolynomial:
@@ -266,6 +331,55 @@ def test_telescoping_lemma_catches_a_shifted_binomial():
             assert left != _neg_x_pochhammer(b) * _telescoping_d(a, b), (a, b)
 
 
+def _q_binomial_or_zero(m: int, k: int) -> QtPolynomial:
+    return q_binomial(m, k) if 0 <= k <= m else QtPolynomial.zero()
+
+
+def _q_gkp_left(r: int, s: int, m: int, n: int, extra_q_at_1: int = 0) -> QtPolynomial:
+    # sum_k q^((M-k)(n-k)) [M; k] [N; n-k] [r+k; m+n], M = m-r+s, N = n+r-s
+    big_m, big_n = m - r + s, n + r - s
+    out = QtPolynomial.zero()
+    for k in range(min(big_m, n) + 1):
+        shift = (big_m - k) * (n - k) + (extra_q_at_1 if k == 1 else 0)
+        out = out + QtPolynomial.monomial(shift, 0) * _q_binomial_or_zero(big_m, k) * (
+            _q_binomial_or_zero(big_n, n - k) * _q_binomial_or_zero(r + k, m + n)
+        )
+    return out
+
+
+def _q_gkp_tuples() -> list[tuple[int, int, int, int]]:
+    return [
+        (r, s, m, n)
+        for r in range(9)
+        for s in range(9)
+        for m in range(9)
+        for n in range(9)
+        if m - r + s >= 0 and n + r - s >= 0
+    ]
+
+
+def test_q_gkp_identity():
+    """The q-Saalschutz sum that both coefficient forms of the telescoping
+    lemma are cases of: sum_k q^((M-k)(n-k)) [M; k] [N; n-k] [r+k; m+n]
+    = [r; m] [s; n], with M = m-r+s and N = n+r-s, for r, s, m, n <= 8."""
+    tuples = _q_gkp_tuples()
+    assert len(tuples) == 4401
+    for r, s, m, n in tuples:
+        right = _q_binomial_or_zero(r, m) * _q_binomial_or_zero(s, n)
+        assert _q_gkp_left(r, s, m, n) == right, (r, s, m, n)
+
+
+def test_q_gkp_identity_catches_an_extra_q():
+    # one more q on the k = 1 term breaks the identity wherever that term
+    # is not zero
+    wrong = [
+        t for t in _q_gkp_tuples()
+        if _q_gkp_left(*t, extra_q_at_1=1)
+        != _q_binomial_or_zero(t[0], t[2]) * _q_binomial_or_zero(t[1], t[3])
+    ]
+    assert len(wrong) == 450
+
+
 def _compositions(total: int):
     if total == 0:
         yield ()
@@ -309,13 +423,15 @@ def test_composition_formula_catches_the_wrong_closing_factor():
 
 
 def test_explicit_sums_past_brute_force_reach():
-    # S(9,4) has 35,565,530 sorted recurrent configurations, far beyond
-    # the brute-force methods; the two sums must still agree, count them,
-    # and be symmetric in q and t (the paper's corollary)
-    poly = itc_sum(9, 4)
-    assert egge_sum(9, 4) == poly
-    assert poly.evaluate(1, 1) == sorted_recurrent_count(9, 4)
-    assert is_qt_symmetric(poly)
+    # S(9,4) has 35,565,530 and S(10,5) 892,371,480 sorted recurrent
+    # configurations, far beyond the brute-force methods; the two sums
+    # must still agree, count them, and be symmetric in q and t (the
+    # paper's corollary)
+    for (n, d), count in {(9, 4): 35_565_530, (10, 5): 892_371_480}.items():
+        poly = itc_sum(n, d)
+        assert egge_sum(n, d) == poly
+        assert poly.evaluate(1, 1) == count == sorted_recurrent_count(n, d)
+        assert is_qt_symmetric(poly)
 
 
 def test_five_way_identity_small():
