@@ -16,9 +16,8 @@ from __future__ import annotations
 import math
 import operator
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 #: Sentinel naming the sink vertex in :func:`topple`.
 SINK = "sink"
@@ -32,16 +31,66 @@ class InternalError(RuntimeError):
     """A safety bound was exceeded; indicates a bug, not bad input."""
 
 
-@dataclass(frozen=True)
-class SplitGraph:
+class Record:
+    """Base of the package's small value records.
+
+    A subclass names its fields in ``__slots__`` (``"__dict__"`` too if it
+    caches properties), and its ``__init__`` sets them, and ``_values`` to
+    their tuple, through ``object.__setattr__``.  A record equals only a
+    record of its own class with equal fields, hashes as that tuple, prints
+    as ``Name(field=value, ...)``, pickles and copies by rebuilding itself
+    from it, and refuses assignment.  A subclass declared ``frozen=False``
+    allows assignment, is unhashable and reads ``_values`` off its fields.
+    """
+
+    __slots__ = ("_values",)
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # a subclass's fields follow those of the record it extends
+        cls._fields += tuple(f for f in vars(cls).get("__slots__", ()) if f != "__dict__")
+        if not frozen:
+            get = operator.attrgetter(*cls._fields)
+            # attrgetter of a single name returns the bare value
+            cls._values = property(get if len(cls._fields) > 1 else lambda r: (get(r),))
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        pairs = zip(self._fields, self._values)
+        return f"{type(self).__name__}({', '.join(f'{f}={v!r}' for f, v in pairs)})"
+
+    def __reduce__(self):
+        return self.__class__, self._values
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SplitGraph(Record):
     """The complete split graph S(n, d) with a clique-side sink."""
 
-    n: int
-    d: int
+    __slots__ = ("n", "d")
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.d < 0:
-            raise PreconditionError(f"need n >= 1 and d >= 0, got ({self.n}, {self.d})")
+    def __init__(self, n: int, d: int) -> None:
+        if n < 1 or d < 0:
+            raise PreconditionError(f"need n >= 1 and d >= 0, got ({n}, {d})")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "_values", (n, d))
 
     @property
     def clique_degree(self) -> int:
@@ -52,17 +101,12 @@ class SplitGraph:
         return self.n + 1
 
     @property
-    def sink_degree(self) -> int:
-        return self.n + self.d
-
-    @property
     def nonsink_edges(self) -> int:
         """Edges not incident to the sink: C(n+d, 2) - C(d, 2)."""
         return math.comb(self.n + self.d, 2) - math.comb(self.d, 2)
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(Record):
     """Grain counts on the n clique and d independent vertices.
 
     Entries may be negative (used by the operator framework in
@@ -70,12 +114,13 @@ class Config:
     below check non-negativity where they require it.
     """
 
-    clique: tuple[int, ...]
-    independent: tuple[int, ...]
+    __slots__ = ("clique", "independent")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "clique", tuple(self.clique))
-        object.__setattr__(self, "independent", tuple(self.independent))
+    def __init__(self, clique: Iterable[int], independent: Iterable[int]) -> None:
+        clique, independent = tuple(clique), tuple(independent)
+        object.__setattr__(self, "clique", clique)
+        object.__setattr__(self, "independent", independent)
+        object.__setattr__(self, "_values", (clique, independent))
 
     def key(self) -> tuple[int, ...]:
         """Concatenated entry tuple; canonical order sorts this descending."""
@@ -217,16 +262,19 @@ def topple(graph: SplitGraph, config: Config, vertex) -> Config:
     return Config(a, b)
 
 
-@dataclass(frozen=True)
-class StabilizationTrace:
+class StabilizationTrace(Record):
     """Result of :func:`stabilize`.
 
     ``odometer`` lists toppling counts for v1..vn, w1..wd and finally the
     sink (which stabilize itself never topples, so the last entry is 0).
     """
 
-    final: Config
-    odometer: tuple[int, ...]
+    __slots__ = ("final", "odometer")
+
+    def __init__(self, final: Config, odometer: tuple[int, ...]) -> None:
+        object.__setattr__(self, "final", final)
+        object.__setattr__(self, "odometer", odometer)
+        object.__setattr__(self, "_values", (final, odometer))
 
 
 def _topple_inplace(

@@ -10,20 +10,20 @@ points rather than symbolically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .asm import PreconditionError
+from .asm import PreconditionError, Record
 from .qtpoly import qt_schroder
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class DegeneratePointError(ValueError):
     """The denominator vanished at the chosen point; resample."""
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Weakly decreasing positive parts, with per-cell arm/leg statistics.
 
     Cells are (row, column), zero-based, rows listed top to bottom; the
@@ -31,14 +31,16 @@ class Partition:
     coleg the cells to the left resp. above.
     """
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if any(p <= 0 for p in self.parts):
+    def __init__(self, parts: Iterable[int]) -> None:
+        parts = tuple(parts)
+        if any(p <= 0 for p in parts):
             raise PreconditionError("parts must be positive")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
+        if any(a < b for a, b in zip(parts, parts[1:])):
             raise PreconditionError("parts must be weakly decreasing")
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "_values", (parts,))
 
     @property
     def size(self) -> int:
@@ -105,6 +107,8 @@ def w_weight(
     product of (1 - q^coarm t^coleg) over non-corner cells, w_mu the
     arm/leg hook product, and T_mu = t^n(mu) q^n(mu').
     """
+    from fractions import Fraction
+
     q = Fraction(q0)
     t = Fraction(t0)
     z = Fraction(z0)
@@ -130,15 +134,24 @@ def w_weight(
     return t_mu * zprod * m_factor * pi_mu * b_mu / w_mu
 
 
-@dataclass
-class SymmetryReport:
+class SymmetryReport(Record, frozen=False):
     """Per-point outcomes of the partition-sum identity check."""
 
-    n: int
-    points: list[tuple[Fraction, Fraction, Fraction]]
-    lhs: list[Fraction] = field(default_factory=list)
-    rhs: list[Fraction] = field(default_factory=list)
-    swapped_equal: list[bool] = field(default_factory=list)
+    __slots__ = ("n", "points", "lhs", "rhs", "swapped_equal")
+
+    def __init__(
+        self,
+        n: int,
+        points: list[tuple[Fraction, Fraction, Fraction]],
+        lhs: list[Fraction] | None = None,
+        rhs: list[Fraction] | None = None,
+        swapped_equal: list[bool] | None = None,
+    ) -> None:
+        self.n = n
+        self.points = points
+        self.lhs = [] if lhs is None else lhs
+        self.rhs = [] if rhs is None else rhs
+        self.swapped_equal = [] if swapped_equal is None else swapped_equal
 
     @property
     def ok(self) -> bool:
@@ -165,6 +178,8 @@ def nabla_symmetry_check(
         raise PreconditionError("need n >= 1")
     if not points:
         raise PreconditionError("need at least one point to compare")
+    from fractions import Fraction
+
     mus = list(partitions_of(n))
     grid = [qt_schroder(n - d, d) for d in range(n + 1)]
     report = SymmetryReport(n, [(Fraction(q), Fraction(t), Fraction(z)) for q, t, z in points])

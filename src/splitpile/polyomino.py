@@ -11,13 +11,13 @@ recurrent configurations map onto them directly.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 
 from .asm import (
     Config,
     InternalError,
     PreconditionError,
+    Record,
     SplitGraph,
     _reading_json,
     _require_sorted_recurrent,
@@ -26,8 +26,7 @@ from . import schroder
 from .toppling import CTI, ITC
 
 
-@dataclass(frozen=True)
-class SawtoothPolyomino:
+class SawtoothPolyomino(Record):
     """Upper/lower step strings from (n+1, d) down to the origin.
 
     ``upper`` is over "NS" (N = nw step, S = s step), ``lower`` over
@@ -36,23 +35,24 @@ class SawtoothPolyomino:
     non-Schroder words still produce an inspectable object.
     """
 
-    n: int
-    d: int
-    upper: str
-    lower: str
+    __slots__ = ("n", "d", "upper", "lower", "__dict__")
 
-    def __post_init__(self) -> None:
-        n, d = self.n, self.d
+    def __init__(self, n: int, d: int, upper: str, lower: str) -> None:
         if n < 1 or d < 0:
             raise PreconditionError(f"bad dimension ({n + 1}, {d})")
-        if not (isinstance(self.upper, str) and isinstance(self.lower, str)):
+        if not (isinstance(upper, str) and isinstance(lower, str)):
             raise PreconditionError("upper and lower are step strings")
-        if set(self.upper) - set("NS") or set(self.lower) - set("WS"):
+        if set(upper) - set("NS") or set(lower) - set("WS"):
             raise PreconditionError("upper is over NS and lower over WS")
-        if self.upper.count("N") != n + 1 or self.upper.count("S") != n + 1 + d:
+        if upper.count("N") != n + 1 or upper.count("S") != n + 1 + d:
             raise PreconditionError("upper path needs n+1 nw and n+1+d s steps")
-        if self.lower.count("W") != n + 1 or self.lower.count("S") != d:
+        if lower.count("W") != n + 1 or lower.count("S") != d:
             raise PreconditionError("lower path needs n+1 w and d s steps")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "_values", (n, d, upper, lower))
 
     @property
     def dim(self) -> tuple[int, int]:
@@ -61,8 +61,8 @@ class SawtoothPolyomino:
     @cached_property
     def _points(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
         """Both boundaries walked once.  cached_property stores into the
-        instance ``__dict__``, which the frozen dataclass allows and which
-        equality, hashing and JSON never read."""
+        instance ``__dict__``, which the record allows and which equality,
+        hashing and JSON never read."""
         start = (self.n + 1, self.d)
         return (
             tuple(schroder.lattice_points(self.upper, start)),
@@ -191,8 +191,7 @@ def area(poly: SawtoothPolyomino) -> int:
 # bounce paths
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BounceRecord:
+class BounceRecord(Record):
     """A bounce path and its block sizes.
 
     For CTI the sizes read (p1, q1, ..., pk, qk), for ITC
@@ -200,16 +199,15 @@ class BounceRecord:
     (n, d) to the origin.
     """
 
-    mode: str
-    sizes: tuple[int, ...]
-    path: tuple[tuple[int, int], ...]
+    __slots__ = ("mode", "sizes", "path")
 
-    def normalized(self) -> tuple[int, ...]:
-        """Sizes with the trailing empty block stripped."""
-        sizes = self.sizes
-        while sizes and sizes[-1] == 0:
-            sizes = sizes[:-1]
-        return sizes
+    def __init__(
+        self, mode: str, sizes: tuple[int, ...], path: tuple[tuple[int, int], ...]
+    ) -> None:
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "_values", (mode, sizes, path))
 
 
 def _bounce(poly: SawtoothPolyomino, mode: str) -> BounceRecord:

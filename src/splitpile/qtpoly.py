@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product, zip_longest
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .asm import (
     InternalError,
@@ -29,6 +28,9 @@ from .asm import (
     level,
 )
 from . import schroder, toppling
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class QtPolynomial:
@@ -112,6 +114,8 @@ class QtPolynomial:
         return QtPolynomial({(te, qe): c for (qe, te), c in self.terms.items()})
 
     def evaluate(self, q0: Fraction | int, t0: Fraction | int) -> Fraction:
+        from fractions import Fraction
+
         total = Fraction(0)
         for (qe, te), c in self.terms.items():
             total += c * Fraction(q0) ** qe * Fraction(t0) ** te

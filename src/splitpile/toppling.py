@@ -10,13 +10,13 @@ vertex topples exactly once and the original configuration returns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate, combinations_with_replacement
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .asm import (
     Config,
     PreconditionError,
+    Record,
     SplitGraph,
     _require_sorted_recurrent,
 )
@@ -25,8 +25,7 @@ CTI = "CTI"
 ITC = "ITC"
 
 
-@dataclass(frozen=True)
-class ToppleTrace:
+class ToppleTrace(Record):
     """Rounds of a parallel toppling run.
 
     Each round is a pair of vertex index tuples (0-based within their
@@ -35,8 +34,14 @@ class ToppleTrace:
     round may have an empty second set; no round is empty entirely.
     """
 
-    mode: str
-    rounds: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    __slots__ = ("mode", "rounds")
+
+    def __init__(
+        self, mode: str, rounds: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    ) -> None:
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "rounds", rounds)
+        object.__setattr__(self, "_values", (mode, rounds))
 
     def sizes(self) -> tuple[int, ...]:
         """Flattened block sizes (p1, q1, ..., pt, qt) resp. (q'1, p'1, ...)."""
@@ -94,21 +99,22 @@ def itc_sizes(graph: SplitGraph, config: Config) -> tuple[int, ...]:
 # ITC toppling sequences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ItcSequence:
+class ItcSequence(Record):
     """The pair [(q'_1..q'_t), (p'_1..p'_t)] of round sizes of an ITC run.
 
     The sink toppling is round 0: q'_0 = 0 and p'_0 = 1 are implicit.
     """
 
-    b: tuple[int, ...]  # independent counts per round
-    a: tuple[int, ...]  # clique counts per round
+    __slots__ = ("b", "a")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "b", tuple(self.b))
-        object.__setattr__(self, "a", tuple(self.a))
-        if len(self.a) != len(self.b) or not self.a:
+    def __init__(self, b: Iterable[int], a: Iterable[int]) -> None:
+        # b counts the independent, a the clique vertices of each round
+        b, a = tuple(b), tuple(a)
+        if len(a) != len(b) or not a:
             raise PreconditionError("sequence parts must be non-empty and equally long")
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "_values", (b, a))
 
     @property
     def length(self) -> int:

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Generator
 
@@ -23,6 +21,7 @@ from .asm import (
     Config,
     InternalError,
     PreconditionError,
+    Record,
     SplitGraph,
     enumerate_sorted_recurrent,
     format_config,
@@ -36,13 +35,22 @@ from .asm import (
 from .partitions import nabla_symmetry_check, partitions_of
 
 
-@dataclass
-class VerificationReport:
-    check: str
-    params: dict
-    status: str  # "pass", "fail", or "error" (an InternalError in the check)
-    counterexample: dict | None = None
-    seconds: float = 0.0
+class VerificationReport(Record, frozen=False):
+    __slots__ = ("check", "params", "status", "counterexample", "seconds")
+
+    def __init__(
+        self,
+        check: str,
+        params: dict,
+        status: str,  # "pass", "fail", or "error" (an InternalError in the check)
+        counterexample: dict | None = None,
+        seconds: float = 0.0,
+    ) -> None:
+        self.check = check
+        self.params = params
+        self.status = status
+        self.counterexample = counterexample
+        self.seconds = seconds
 
     @property
     def ok(self) -> bool:
@@ -399,6 +407,8 @@ def check_hexagon_lemma(limit: int = 4) -> dict | None:
 
 
 def check_partition_identity(n: int) -> dict | None:
+    from fractions import Fraction
+
     points = [
         (Fraction(2), Fraction(3), Fraction(5)),
         (Fraction(1, 2), Fraction(3), Fraction(-2)),

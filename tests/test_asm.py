@@ -126,7 +126,6 @@ def test_entry_points_share_the_shape_check(capsys):
 def test_degrees():
     assert G53.clique_degree == 8
     assert G53.indep_degree == 6
-    assert G53.sink_degree == 8
     assert G53.nonsink_edges == 28 - 3
     with pytest.raises(PreconditionError):
         SplitGraph(0, 1)

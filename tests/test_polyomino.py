@@ -4,7 +4,6 @@ import pytest
 
 from splitpile.asm import PreconditionError, SplitGraph, enumerate_sorted_recurrent, height, parse_config
 from splitpile.polyomino import (
-    BounceRecord,
     area,
     cti_bounce,
     from_config,
@@ -154,13 +153,6 @@ def test_worked_height_area_arithmetic():
     # height 29 = 12 - 9 + 36 - 10 for the dimension-(5,5) example
     assert height(CONF_A) == 29
     assert area(from_config(G45, CONF_A)) - 9 + 36 - 10 == 29
-
-
-def test_bounce_record_normalization():
-    rec = BounceRecord("CTI", (1, 2, 1, 0), ((0, 0),))
-    assert rec.normalized() == (1, 2, 1)
-    rec = BounceRecord("ITC", (2, 1), ((0, 0),))
-    assert rec.normalized() == (2, 1)
 
 
 def test_json_roundtrip():

@@ -1,6 +1,10 @@
+import inspect
+import textwrap
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
 import pytest
 
@@ -432,6 +436,130 @@ def test_explicit_sums_past_brute_force_reach():
         assert egge_sum(n, d) == poly
         assert poly.evaluate(1, 1) == count == sorted_recurrent_count(n, d)
         assert is_qt_symmetric(poly)
+
+
+# ---------------------------------------------------------------------------
+# two specializations of the polynomial that share no code with the sums
+# ---------------------------------------------------------------------------
+
+def _t_one_side(n: int, d: int) -> dict[int, int]:
+    """sum of q^area over the Schroder words with n U's, n D's and d H's,
+    as {q-exponent: count}, by a DP over (U left, D left, H left,
+    balance): an H step at balance b adds q^b, a D step, allowed only at
+    b > 0, adds q^(b-1) and lowers b, and a U step adds nothing and raises
+    b.  This is schroder.area read step by step."""
+
+    @lru_cache(maxsize=None)
+    def rest(up: int, down: int, flat: int, b: int) -> Counter:
+        if not (up or down or flat):
+            return Counter({0: 1})
+        out = Counter()
+        if up:
+            out.update(rest(up - 1, down, flat, b + 1))
+        if flat:
+            out.update({e + b: c for e, c in rest(up, down, flat - 1, b).items()})
+        if down and b:
+            out.update({e + b - 1: c for e, c in rest(up, down - 1, flat, b - 1).items()})
+        return out
+
+    return dict(rest(n, n, d, 0))
+
+
+def _q_count_side(n: int, d: int) -> dict[int, int]:
+    """[2n+d; n]_q [n+d; n]_q / [n+1]_q as {q-exponent: coefficient},
+    from the factors (1 - q^j) of the product formula of each Gaussian
+    binomial, divided out exactly."""
+
+    def product(js) -> list[int]:
+        out = [1]
+        for j in js:
+            shifted = [0] * j + [-c for c in out]
+            out = [x + y for x, y in zip_longest(out, shifted, fillvalue=0)]
+        return out
+
+    num = product([*range(n + d + 1, 2 * n + d + 1), *range(d + 1, n + d + 1), 1])
+    den = product([*range(1, n + 1), *range(1, n + 1), n + 1])
+    quotient, rem = [], list(num)
+    for i in range(len(num) - len(den) + 1):
+        quotient.append(rem[i])  # den[0] == 1
+        for j, c in enumerate(den):
+            rem[i + j] -= quotient[i] * c
+    assert not any(rem), (n, d)
+    return {e: c for e, c in enumerate(quotient) if c}
+
+
+def _at_t_one(poly: QtPolynomial) -> dict[int, int]:
+    out = Counter()
+    for (qe, _te), c in poly.terms.items():
+        out[qe] += c
+    return dict(out)
+
+
+def _at_t_inverse_q(poly: QtPolynomial, n: int, d: int) -> dict[int, int]:
+    """The coefficients of q^(C(n,2)+nd) poly(q, 1/q)."""
+    out = Counter()
+    for (qe, te), c in poly.terms.items():
+        out[qe - te + n * (n - 1) // 2 + n * d] += c
+    return dict(out)
+
+
+def _specializations_hold(poly: QtPolynomial, n: int, d: int) -> tuple[bool, bool]:
+    return (
+        _at_t_one(poly) == _t_one_side(n, d),
+        _at_t_inverse_q(poly, n, d) == _q_count_side(n, d),
+    )
+
+
+def test_specializations_match_brute_force():
+    # the t = 1/q q-count is an identity checked here, on configurations
+    # through f_itc and f_cti, not a cited theorem
+    for n in range(1, 9):
+        for d in range(0, 9 - n):
+            for fn in (f_itc, f_cti):
+                assert _specializations_hold(fn(n, d), n, d) == (True, True), (fn, n, d)
+
+
+def test_specializations_match_the_sums():
+    shapes = [(n, d) for n in range(1, 9) for d in range(0, 6)] + [(10, 5), (12, 6)]
+    for n, d in shapes:
+        for fn in (itc_sum, egge_sum):
+            assert _specializations_hold(fn(n, d), n, d) == (True, True), (fn, n, d)
+
+
+def _mutant_round_recursion(wrong: str):
+    """``qtpoly._round_recursion`` with its round's shift replaced."""
+    source = textwrap.dedent(inspect.getsource(qtpoly._round_recursion))
+    right = "out += step << (shift + left * tbits)"
+    assert source.count(right) == 1
+    namespace = dict(vars(qtpoly))
+    exec(source.replace(right, wrong), namespace)
+    return namespace["_round_recursion"]
+
+
+@pytest.mark.parametrize(
+    "wrong, side, caught",
+    [
+        # b more q's in every round: the t = 1 side catches it on 40 of the
+        # 48 shapes (the t = 1/q side on 35)
+        ("out += step << (shift + b * qbits + left * tbits)", 0, 40),
+        # t^(2 clique left + independent left): only the t = 1/q side can
+        # see it, and does on 42 shapes
+        ("out += step << (shift + (2 * (clique - a) + indep - b) * tbits)", 1, 42),
+    ],
+    ids=["extra-q", "weighted-t"],
+)
+def test_specializations_catch_count_preserving_mutants(monkeypatch, wrong, side, caught):
+    monkeypatch.setattr(qtpoly, "_round_recursion", _mutant_round_recursion(wrong))
+    failed = [0, 0]
+    for n in range(1, 9):
+        for d in range(0, 6):
+            poly = itc_sum(n, d)
+            assert poly.evaluate(1, 1) == sorted_recurrent_count(n, d), (n, d)
+            for i, holds in enumerate(_specializations_hold(poly, n, d)):
+                failed[i] += not holds
+    assert failed[side] == caught
+    if side == 1:
+        assert failed[0] == 0
 
 
 def test_five_way_identity_small():
