@@ -17,7 +17,7 @@ import math
 import operator
 from contextlib import contextmanager
 from itertools import combinations_with_replacement
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 #: Sentinel naming the sink vertex in :func:`topple`.
 SINK = "sink"
@@ -277,16 +277,54 @@ class StabilizationTrace(Record):
         object.__setattr__(self, "_values", (final, odometer))
 
 
-def _topple_inplace(
-    graph: SplitGraph, a: list[int], b: list[int], v: int, times: int = 1
-) -> None:
-    """Topple vertex ``v`` ``times`` times in a row; it gets no grains from itself."""
-    a[:] = [x + times for x in a]
+def _topple_inplace(graph: SplitGraph, a: list[int], b: list[int], v: int) -> None:
+    """Topple vertex ``v`` once; it gets no grain from itself."""
+    a[:] = [x + 1 for x in a]
     if v < graph.n:
-        a[v] -= times * (graph.clique_degree + 1)
-        b[:] = [x + times for x in b]
+        a[v] -= graph.clique_degree + 1
+        b[:] = [x + 1 for x in b]
     else:
-        b[v - graph.n] -= times * graph.indep_degree
+        b[v - graph.n] -= graph.indep_degree
+
+
+def _toppling_bound(graph: SplitGraph, a: Sequence[int], b: Sequence[int]) -> int:
+    """More topplings than this in one stabilization indicate a bug."""
+    total = sum(x for x in a if x > 0) + sum(x for x in b if x > 0)
+    return (total + 1) * (graph.n + graph.d + 1) ** 2
+
+
+def _settle(
+    graph: SplitGraph, a: Sequence[int], b: Sequence[int]
+) -> tuple[list[int], list[int], list[int]]:
+    """Counter form of stabilization: the final clique and independent
+    parts and the odometer of v1..vn, w1..wd, without the sink.
+
+    After K clique and I independent topplings in all, clique vertex v
+    holds a_v + K + I - (n+d+1) t_v and independent vertex w holds
+    b_w + K - (n+1) t_w, so each pass sets every count t to the least
+    that leaves its vertex stable at the current totals, from K = I = 0
+    until the totals repeat.  The counts grow with the totals and the
+    odometer leaves every vertex stable at its own totals, so no pass
+    exceeds it; the fixed point leaves every vertex stable, so by the
+    least action principle (Fey, Levine and Peres 2010, Lemma 2.1) it is
+    the odometer of every legal toppling order.
+    """
+    kdeg, ideg = graph.clique_degree, graph.indep_degree
+    bound = _toppling_bound(graph, a, b)
+    k = i = 0
+    while True:
+        s = k + i
+        tk = [(x + s - kdeg) // (kdeg + 1) + 1 if x + s >= kdeg else 0 for x in a]
+        ti = [(y + k - ideg) // ideg + 1 if y + k >= ideg else 0 for y in b]
+        totals = (sum(tk), sum(ti))
+        if totals == (k, i):
+            break
+        k, i = totals
+        if k + i > bound:
+            raise InternalError(f"stabilization exceeded {bound} topplings")
+    final_a = [x + s - (kdeg + 1) * t for x, t in zip(a, tk)]
+    final_b = [y + k - ideg * t for y, t in zip(b, ti)]
+    return final_a, final_b, tk + ti
 
 
 def _stabilize_raw(
@@ -296,38 +334,35 @@ def _stabilize_raw(
 ) -> StabilizationTrace:
     """Stabilize without the non-negativity precondition (operator framework use).
 
-    Without ``pick`` the first unstable vertex topples until it is stable,
-    ``x // deg`` times in one step; that is a legal toppling order, so by
-    the abelian property the final configuration and the odometer are
-    those of any other order.  With ``pick`` every step is one toppling of
-    the vertex it returns, which must be one of the unstable vertices.
+    Without ``pick`` the counter form :func:`_settle` gives the final
+    configuration and the odometer.  With ``pick`` every step is one
+    toppling of the vertex it returns, which must be one of the unstable
+    vertices; that simulation is the reference the tests compare the
+    counter form against.
     """
+    if pick is None:
+        a, b, odometer = _settle(graph, config.clique, config.independent)
+        return StabilizationTrace(Config(a, b), tuple(odometer) + (0,))
     n, d = graph.n, graph.d
     kdeg, ideg = graph.clique_degree, graph.indep_degree
     a = list(config.clique)
     b = list(config.independent)
     odometer = [0] * (n + d)
-    total = sum(x for x in a if x > 0) + sum(x for x in b if x > 0)
-    bound = (total + 1) * (n + d + 1) ** 2
+    bound = _toppling_bound(graph, a, b)
     steps = 0
     while True:
         unstable = [i for i, x in enumerate(a) if x >= kdeg]
         unstable += [n + j for j, x in enumerate(b) if x >= ideg]
         if not unstable:
             break
-        if pick is None:
-            v = unstable[0]
-            times = a[v] // kdeg if v < n else b[v - n] // ideg
-        else:
-            v = pick(unstable)
-            if v not in unstable:
-                raise PreconditionError(
-                    f"pick returned vertex {v!r}, not one of the unstable vertices {unstable}"
-                )
-            times = 1
-        _topple_inplace(graph, a, b, v, times)
-        odometer[v] += times
-        steps += times
+        v = pick(unstable)
+        if v not in unstable:
+            raise PreconditionError(
+                f"pick returned vertex {v!r}, not one of the unstable vertices {unstable}"
+            )
+        _topple_inplace(graph, a, b, v)
+        odometer[v] += 1
+        steps += 1
         if steps > bound:
             raise InternalError(f"stabilization exceeded {bound} topplings")
     return StabilizationTrace(Config(a, b), tuple(odometer) + (0,))
@@ -358,14 +393,14 @@ def stabilize(
 
 def _burn_sorted(
     graph: SplitGraph,
-    a: tuple[int, ...],
-    b: tuple[int, ...],
+    a: Sequence[int],
+    b: Sequence[int],
     clique_first: bool = True,
 ) -> tuple[int, ...] | None:
     """Counter form of the burning test for sorted stable configurations.
 
     ``a`` and ``b`` are the clique and independent parts, passed as plain
-    tuples.  Burning a sorted configuration proceeds in rounds
+    tuples or lists.  Burning a sorted configuration proceeds in rounds
     that always burn a prefix of the not-yet-burnt vertices of each part,
     because every unburnt vertex of a part has received the same number
     of grains.  Each round burns one part and then the other, clique
@@ -422,45 +457,6 @@ def _require_sorted_recurrent(
     if sizes is None:
         raise PreconditionError(f"{config} is not recurrent")
     return sizes
-
-
-def _burn_rounds(
-    graph: SplitGraph, config: Config, clique_first: bool = True
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] | None:
-    """Burning test as rounds of parallel topplings after a sink toppling.
-
-    The definition of the CTI and ITC processes, kept as the reference
-    the tests compare the counter form and the traces against; no library
-    path runs it.  Each round topples every unstable vertex of the first
-    class and then every vertex of the second class that is unstable
-    after that, each by :func:`_topple_inplace`.  A vertex that has
-    toppled cannot become unstable again before all its neighbours have
-    toppled once, so no vertex topples twice.  Returns the rounds as
-    pairs of index tuples within the parts, (clique, independent) or
-    (independent, clique), or None if a round topples nothing before
-    every vertex has toppled (not recurrent).
-    """
-    n, d = graph.n, graph.d
-    a = [x + 1 for x in config.clique]
-    b = [x + 1 for x in config.independent]
-    classes = ((a, graph.clique_degree, 0), (b, graph.indep_degree, n))
-    rounds: list[tuple[tuple[int, ...], ...]] = []
-    toppled = 0
-    while toppled < n + d:
-        hot = []
-        for part, degree, offset in classes if clique_first else classes[::-1]:
-            hot.append(tuple(i for i, x in enumerate(part) if x >= degree))
-            for i in hot[-1]:
-                _topple_inplace(graph, a, b, offset + i)
-        count = len(hot[0]) + len(hot[1])
-        if not count:
-            return None
-        toppled += count
-        rounds.append(tuple(hot))
-    # toppling the sink and then every vertex once returns the start
-    if tuple(a) != config.clique or tuple(b) != config.independent:
-        raise InternalError("burning did not return the initial configuration")
-    return tuple(rounds)
 
 
 def is_recurrent(graph: SplitGraph, config: Config) -> bool:
@@ -564,16 +560,6 @@ def enumerate_sorted_recurrent(graph: SplitGraph) -> Iterator[Config]:
     for a, rows in iter_sorted_recurrent_groups(graph):
         for b, _ in rows:
             yield Config(a, parts.setdefault(b, b))
-
-
-def _enumerate_phi(graph: SplitGraph) -> list[Config]:
-    """The image of all Schroder words under phi, sorted like the
-    enumeration; the tests compare it with :func:`enumerate_sorted_recurrent`."""
-    from . import schroder
-
-    out = [schroder.phi(w) for w in schroder.enumerate_schroder(graph.n, graph.d)]
-    out.sort(key=Config.key, reverse=True)
-    return out
 
 
 def sorted_recurrent_count(n: int, d: int) -> int:

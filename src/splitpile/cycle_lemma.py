@@ -23,11 +23,9 @@ from .asm import (
     _burn_sorted,
     _check_shape,
     _require_sorted_recurrent,
-    _stabilize_raw,
+    _settle,
     _topple_inplace,
-    is_nonnegative,
     is_sorted_config,
-    is_stable,
     weakly_decreasing_tuples,
 )
 
@@ -64,11 +62,24 @@ def weight(graph: SplitGraph, config: Config) -> int:
     return sum(v // m for v in config.clique)
 
 
+def _sorted_compact(graph: SplitGraph, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """The parts of a sorted compact configuration, one pass per part:
+    weakly decreasing, the first entry at most n+d+1 above the last in
+    the clique part and at most n+1 above it in the independent part."""
+    n = graph.n
+    return (
+        a == tuple(sorted(a, reverse=True))
+        and b == tuple(sorted(b, reverse=True))
+        and (not a or a[0] - a[-1] <= n + graph.d + 1)
+        and (not b or b[0] - b[-1] <= n + 1)
+    )
+
+
 def _require_sorted_compact(graph: SplitGraph, config: Config) -> None:
     _check_shape(graph, config)
-    if not is_sorted_config(config):
-        raise PreconditionError("operators act on sorted configurations")
-    if not is_compact(graph, config):
+    if not _sorted_compact(graph, config.clique, config.independent):
+        if not is_sorted_config(config):
+            raise PreconditionError("operators act on sorted configurations")
         raise PreconditionError("operators act on compact configurations")
 
 
@@ -94,38 +105,39 @@ def apply(graph: SplitGraph, op: str, config: Config) -> Config:
     again.
     """
     _require_sorted_compact(graph, config)
-    return _step(graph, op, config)
+    return Config(*_step(graph, op, config.clique, config.independent))
 
 
-def _step(graph: SplitGraph, op: str, config: Config) -> Config:
-    """Closed form of one operator on a configuration already known to be
-    sorted and compact; the result is checked, so it can feed the next step."""
+def _step(
+    graph: SplitGraph, op: str, a: tuple[int, ...], b: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Closed form of one operator on the parts of a configuration already
+    known to be sorted and compact; the resulting parts are checked, so
+    they can feed the next step."""
     n, d = graph.n, graph.d
     m = n + d + 1
-    a = config.clique
-    b = config.independent
     if d == 0 and op in (TI, TI_INV):
         raise PreconditionError("TI needs at least one independent vertex")
     if op == TS:
-        out = Config(tuple(x + 1 for x in a), tuple(x + 1 for x in b))
+        out = tuple([x + 1 for x in a]), tuple([x + 1 for x in b])
     elif op == TK:
-        out = Config(tuple(x + 1 for x in a[1:]) + (a[0] - m + 1,), tuple(x + 1 for x in b))
+        out = tuple([x + 1 for x in a[1:]]) + (a[0] - m + 1,), tuple([x + 1 for x in b])
     elif op == TI:
-        out = Config(tuple(x + 1 for x in a), tuple(b[1:]) + (b[0] - (n + 1),))
+        out = tuple([x + 1 for x in a]), b[1:] + (b[0] - (n + 1),)
     elif op == TW:
-        out = Config(tuple(a[1:]) + (a[0] - m,), b)
+        out = a[1:] + (a[0] - m,), b
     elif op == TS_INV:
-        out = Config(tuple(x - 1 for x in a), tuple(x - 1 for x in b))
+        out = tuple([x - 1 for x in a]), tuple([x - 1 for x in b])
     elif op == TK_INV:
-        out = Config((a[-1] + m - 1,) + tuple(x - 1 for x in a[:-1]), tuple(x - 1 for x in b))
+        out = (a[-1] + m - 1,) + tuple([x - 1 for x in a[:-1]]), tuple([x - 1 for x in b])
     elif op == TI_INV:
-        out = Config(tuple(x - 1 for x in a), (b[-1] + n + 1,) + tuple(b[:-1]))
+        out = tuple([x - 1 for x in a]), (b[-1] + n + 1,) + b[:-1]
     elif op == TW_INV:
-        out = Config((a[-1] + m,) + tuple(a[:-1]), b)
+        out = (a[-1] + m,) + a[:-1], b
     else:
         raise PreconditionError(f"unknown operator {op!r}")
-    if not is_sorted_config(out) or not is_compact(graph, out):
-        raise InternalError(f"{op} left the sorted compact set on {config}")
+    if not _sorted_compact(graph, *out):
+        raise InternalError(f"{op} left the sorted compact set on {Config(a, b)}")
     return out
 
 
@@ -133,12 +145,14 @@ def apply_word(graph: SplitGraph, ops, config: Config) -> Config:
     """Apply a sequence of operators left to right.
 
     The input is validated once; each step's result check validates the
-    input of the next step.
+    input of the next step.  The steps run on the parts, and only the
+    result becomes a :class:`Config`.
     """
     _require_sorted_compact(graph, config)
+    a, b = config.clique, config.independent
     for op in ops:
-        config = _step(graph, op, config)
-    return config
+        a, b = _step(graph, op, a, b)
+    return Config(a, b)
 
 
 def identity_check(graph: SplitGraph, config: Config) -> bool:
@@ -181,36 +195,23 @@ def recurrent_representative(graph: SplitGraph, config: Config) -> Config:
     the toppling-and-permuting equivalence class.
     """
     _require_sorted_compact(graph, config)
-    current = config
-    bound = sum(abs(x) for x in config.key()) + (graph.n + graph.d + 2) ** 2 + 16
+    kdeg, ideg = graph.clique_degree, graph.indep_degree
+    a, b = config.clique, config.independent
+    bound = sum(map(abs, config.key())) + (graph.n + graph.d + 2) ** 2 + 16
     for _ in range(bound):
-        # every iterate is sorted, so the counter-form burning test applies
+        # every iterate is sorted: its ends are its extremes, and the
+        # counter-form burning test applies
         if (
-            is_nonnegative(current)
-            and is_stable(graph, current)
-            and _burn_sorted(graph, current.clique, current.independent) is not None
+            0 <= a[-1]
+            and a[0] < kdeg
+            and (not b or (0 <= b[-1] and b[0] < ideg))
+            and _burn_sorted(graph, a, b) is not None
         ):
-            return current
-        bumped = Config(
-            tuple(x + 1 for x in current.clique), tuple(x + 1 for x in current.independent)
-        )
-        settled = _stabilize_raw(graph, bumped).final
-        current = Config(
-            tuple(sorted(settled.clique, reverse=True)),
-            tuple(sorted(settled.independent, reverse=True)),
-        )
+            return Config(a, b)
+        a, b, _ = _settle(graph, [x + 1 for x in a], [y + 1 for y in b])
+        a.sort(reverse=True)
+        b.sort(reverse=True)
     raise InternalError(f"no recurrent representative found for {config}")
-
-
-def class_report(graph: SplitGraph) -> list[list[str]]:
-    """One row per sorted recurrent configuration: its class members as
-    configuration strings, the recurrent member first."""
-    from .asm import enumerate_sorted_recurrent, format_config
-
-    return [
-        [format_config(m) for m in class_members(graph, v)]
-        for v in enumerate_sorted_recurrent(graph)
-    ]
 
 
 def _shift(graph: SplitGraph, config: Config) -> Config:
@@ -222,10 +223,11 @@ def _shift(graph: SplitGraph, config: Config) -> Config:
     closed form (TK = TW Ts), so sigma keeps the toppling class."""
     n, m = graph.n, graph.n + graph.d + 1
     k = config.independent.count(n)
-    return Config(
-        tuple(sorted(((x + 1 + k) % m for x in config.clique), reverse=True)),
-        tuple(sorted(((y + 1) % (n + 1) for y in config.independent), reverse=True)),
-    )
+    a = [(x + 1 + k) % m for x in config.clique]
+    b = [(y + 1) % (n + 1) for y in config.independent]
+    a.sort(reverse=True)
+    b.sort(reverse=True)
+    return Config(a, b)
 
 
 def class_members(graph: SplitGraph, config: Config) -> list[Config]:

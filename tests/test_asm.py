@@ -29,11 +29,10 @@ from splitpile.asm import (
     stabilize,
     topple,
     weakly_decreasing_tuples,
-    _burn_rounds,
     _burn_sorted,
-    _enumerate_phi,
     _stabilize_raw,
 )
+from splitpile.schroder import enumerate_schroder, phi
 
 G22 = SplitGraph(2, 2)
 G53 = SplitGraph(5, 3)
@@ -180,6 +179,43 @@ def test_recurrence_against_exhaustive_table():
             assert is_recurrent(G22, c) == (format_config(c) in TABLE_22)
 
 
+def _burn_rounds(graph, config, clique_first=True):
+    """Burning test as rounds of parallel topplings after a sink toppling.
+
+    The definition of the CTI and ITC processes, the reference the tests
+    compare the counter form and the traces against.  Each round topples
+    every unstable vertex of the first class and then every vertex of the
+    second class that is unstable after that, each by
+    ``asm._topple_inplace``.  A vertex that has toppled cannot become
+    unstable again before all its neighbours have toppled once, so no
+    vertex topples twice.  Returns the rounds as pairs of index tuples
+    within the parts, (clique, independent) or (independent, clique), or
+    None if a round topples nothing before every vertex has toppled (not
+    recurrent).
+    """
+    n, d = graph.n, graph.d
+    a = [x + 1 for x in config.clique]
+    b = [x + 1 for x in config.independent]
+    classes = ((a, graph.clique_degree, 0), (b, graph.indep_degree, n))
+    rounds = []
+    toppled = 0
+    while toppled < n + d:
+        hot = []
+        for part, degree, offset in classes if clique_first else classes[::-1]:
+            hot.append(tuple(i for i, x in enumerate(part) if x >= degree))
+            for i in hot[-1]:
+                asm._topple_inplace(graph, a, b, offset + i)
+        count = len(hot[0]) + len(hot[1])
+        if not count:
+            return None
+        toppled += count
+        rounds.append(tuple(hot))
+    # toppling the sink and then every vertex once returns the start
+    if tuple(a) != config.clique or tuple(b) != config.independent:
+        raise asm.InternalError("burning did not return the initial configuration")
+    return tuple(rounds)
+
+
 def _burning_order(g, rounds):
     """The clique-first rounds of the round simulation, flattened to
     vertex indices (sink excluded)."""
@@ -243,6 +279,14 @@ def test_enumerate_trivial_and_derived():
     g = SplitGraph(1, 0)
     assert tuple(enumerate_sorted_recurrent(g)) == (Config((0,), ()),)
     assert len(tuple(enumerate_sorted_recurrent(SplitGraph(3, 2)))) == 140
+
+
+def _enumerate_phi(graph):
+    """The image of all Schroder words under phi, sorted like the
+    enumeration: its independent reference."""
+    out = [phi(w) for w in enumerate_schroder(graph.n, graph.d)]
+    out.sort(key=Config.key, reverse=True)
+    return out
 
 
 def test_enumeration_backends_agree():
@@ -403,11 +447,11 @@ def test_abelian_property(n, d, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 5), st.integers(0, 4), st.data())
+@given(st.integers(1, 6), st.integers(0, 5), st.data())
 def test_batched_stabilization_matches_single_topplings(n, d, data):
     # negative entries are the operator framework's domain
     g = SplitGraph(n, d)
-    entries = st.integers(-3 * (n + d), 4 * (n + d))
+    entries = st.integers(-3 * (n + d), 40 * (n + d))
     c = Config(
         tuple(data.draw(entries) for _ in range(n)),
         tuple(data.draw(entries) for _ in range(d)),
@@ -416,6 +460,72 @@ def test_batched_stabilization_matches_single_topplings(n, d, data):
     single = _stabilize_raw(g, c, pick=lambda u: u[0])
     assert batched.final == single.final
     assert batched.odometer == single.odometer
+
+
+def test_stabilization_without_pick_topples_no_single_vertex(monkeypatch):
+    big = Config((2000, 0, 0, 0, 0), (-7, 0, 0, 0))
+    expected = _stabilize_raw(SplitGraph(5, 4), big, pick=lambda u: u[0])
+
+    def simulation(*args, **kwargs):
+        raise AssertionError("stabilization toppled a single vertex")
+
+    monkeypatch.setattr(asm, "_topple_inplace", simulation)
+    trace = stabilize(G53, parse_config("8,7,6,3,2;6,5,5"))
+    assert trace.final == parse_config("7,6,5,2,1;5,4,4")
+    assert _stabilize_raw(SplitGraph(5, 4), big) == expected
+    with pytest.raises(AssertionError, match="toppled a single vertex"):
+        stabilize(G53, parse_config("8,7,6,3,2;6,5,5"), pick=lambda u: u[0])
+
+
+def _drawn_configurations(count, seed):
+    """Shapes up to S(6,5).  Every other configuration has its entries in
+    [-3(n+d), 40(n+d)], like those of
+    test_batched_stabilization_matches_single_topplings; in the others
+    each entry lies within two grains below its vertex's degree or at it,
+    where a threshold off by one shows."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n, d = rng.randint(1, 6), rng.randint(0, 5)
+        if i % 2:
+            clique = [rng.randint(n + d - 2, n + d) for _ in range(n)]
+            indep = [rng.randint(n - 1, n + 1) for _ in range(d)]
+        else:
+            clique = [rng.randint(-3 * (n + d), 40 * (n + d)) for _ in range(n)]
+            indep = [rng.randint(-3 * (n + d), 40 * (n + d)) for _ in range(d)]
+        yield SplitGraph(n, d), Config(clique, indep)
+
+
+def _mutant_settle(right, wrong):
+    """``asm._settle`` with one expression of its clique count replaced."""
+    source = textwrap.dedent(inspect.getsource(asm._settle))
+    assert source.count(right) == 1
+    namespace = dict(vars(asm))
+    exec(source.replace(right, wrong), namespace)
+    return namespace["_settle"]
+
+
+@pytest.mark.parametrize(
+    "right, wrong",
+    [
+        ("// (kdeg + 1) + 1", "// kdeg + 1"),  # stride n+d instead of n+d+1
+        ("if x + s >= kdeg", "if x + s > kdeg"),  # a clique vertex at n+d stays
+    ],
+    ids=["stride", "threshold"],
+)
+def test_counter_form_mutants_fail(monkeypatch, right, wrong):
+    # each mutant differs from single topplings, or exceeds the toppling
+    # bound, on some of the configurations where the kernel matches them
+    draws = list(_drawn_configurations(100, 0))
+    singles = [_stabilize_raw(g, c, pick=lambda u: u[0]) for g, c in draws]
+    assert [_stabilize_raw(g, c) for g, c in draws] == singles
+    monkeypatch.setattr(asm, "_settle", _mutant_settle(right, wrong))
+    caught = 0
+    for (g, c), single in zip(draws, singles):
+        try:
+            caught += _stabilize_raw(g, c) != single
+        except asm.InternalError:
+            caught += 1
+    assert caught >= 10
 
 
 def test_stabilize_rejects_picked_vertex_outside_unstable_list():

@@ -85,13 +85,13 @@ def test_apply_preconditions():
 
 def test_apply_word_validates_each_configuration_once(monkeypatch):
     calls = []
-    real = cycle_lemma.is_sorted_config
+    real = cycle_lemma._sorted_compact
 
-    def counted(config):
-        calls.append(config)
-        return real(config)
+    def counted(graph, a, b):
+        calls.append((a, b))
+        return real(graph, a, b)
 
-    monkeypatch.setattr(cycle_lemma, "is_sorted_config", counted)
+    monkeypatch.setattr(cycle_lemma, "_sorted_compact", counted)
     c = parse_config("3,3;2,2")
     for ops in ([], [TS], [TS, TK, TK, TI, TI], [TW, TW_INV, TK_INV, TI_INV]):
         calls.clear()
@@ -109,7 +109,7 @@ def test_apply_word_checks_input_and_results():
 def test_apply_word_flags_out_of_set_result_inside_chain(monkeypatch):
     # input check and first result pass; the second result is rejected
     verdicts = iter([True, True, False])
-    monkeypatch.setattr(cycle_lemma, "is_compact", lambda graph, config: next(verdicts))
+    monkeypatch.setattr(cycle_lemma, "_sorted_compact", lambda graph, a, b: next(verdicts))
     with pytest.raises(InternalError, match="TK left the sorted compact set"):
         apply_word(G22, [TS, TK, TI], parse_config("3,3;2,2"))
 
@@ -191,6 +191,20 @@ def test_recurrent_representative_of_zero():
     assert recurrent_representative(G22, rep) == rep
 
 
+def test_recurrent_representative_of_unstable_inputs():
+    # compact inputs above the stable window, one part at a time; a
+    # recurrent-looking but unstable input must not be returned as is
+    pinned = {
+        "4,3;2,2": "3,2;1,1",
+        "3,3;3,2": "2,2;2,1",
+        "4,4;3,3": "3,3;2,2",
+        "3,3;3,3": "2,2;2,2",
+        "5,1;3,0": "3,2;1,1",
+    }
+    for text, rep in pinned.items():
+        assert recurrent_representative(G22, parse_config(text)) == parse_config(rep)
+
+
 def test_class_members_examples():
     v = parse_config("3,3;2,2")
     members = class_members(G22, v)
@@ -227,9 +241,10 @@ def test_cycle_lemma_partition():
 def test_class_report_shape():
     import json
 
-    from splitpile.cycle_lemma import class_report
-
-    report = class_report(G22)
+    report = [
+        [format_config(m) for m in class_members(G22, v)]
+        for v in enumerate_sorted_recurrent(G22)
+    ]
     assert len(report) == 30
     assert all(len(row) == 3 for row in report)
     assert report[0][0] == "3,3;2,2"
@@ -273,11 +288,11 @@ def test_shift_is_ts_then_ti_then_tw():
         for d in range(4):
             g = SplitGraph(n, d)
             for u in iter_quasistable_nonneg(g):
-                w = cycle_lemma._step(g, TS, u)
+                w = apply(g, TS, u)
                 while w.independent and w.independent[0] > n:
-                    w = cycle_lemma._step(g, TI, w)
+                    w = apply(g, TI, w)
                 while w.clique[0] > n + d:
-                    w = cycle_lemma._step(g, TW, w)
+                    w = apply(g, TW, w)
                 assert _shift(g, u) == w
 
 

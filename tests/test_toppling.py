@@ -7,7 +7,6 @@ from splitpile.asm import (
     Config,
     PreconditionError,
     SplitGraph,
-    _burn_rounds,
     _burn_sorted,
     enumerate_sorted_recurrent,
     is_recurrent,
@@ -32,6 +31,7 @@ from splitpile.toppling import (
     topple_itc,
     wtopple,
 )
+from test_asm import _burn_rounds
 
 G22 = SplitGraph(2, 2)
 G53 = SplitGraph(5, 3)
@@ -144,8 +144,7 @@ def test_each_trace_and_recurrence_test_burns_once(monkeypatch):
         raise AssertionError("the round simulation ran on a library path")
 
     monkeypatch.setattr(asm, "_burn_sorted", counted_burn)
-    # the simulation topples every vertex, wherever it is called from
-    monkeypatch.setattr(asm, "_burn_rounds", simulation)
+    # the simulation topples every vertex through this one function
     monkeypatch.setattr(asm, "_topple_inplace", simulation)
     unsorted = parse_config("2,7,5,1,6;4,5,4")  # C53 rearranged
     for config in (C53, unsorted):
