@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import operator
-from contextlib import contextmanager
 from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -39,24 +38,16 @@ class Record:
     their tuple, through ``object.__setattr__``.  A record equals only a
     record of its own class with equal fields, hashes as that tuple, prints
     as ``Name(field=value, ...)``, pickles and copies by rebuilding itself
-    from it, and refuses assignment.  A subclass declared ``frozen=False``
-    allows assignment, is unhashable and reads ``_values`` off its fields.
+    from it, and refuses assignment.
     """
 
     __slots__ = ("_values",)
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs) -> None:
+    def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         # a subclass's fields follow those of the record it extends
         cls._fields += tuple(f for f in vars(cls).get("__slots__", ()) if f != "__dict__")
-        if not frozen:
-            get = operator.attrgetter(*cls._fields)
-            # attrgetter of a single name returns the bare value
-            cls._values = property(get if len(cls._fields) > 1 else lambda r: (get(r),))
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -135,19 +126,18 @@ class Config(Record):
 # ---------------------------------------------------------------------------
 
 def parse_config(text: str) -> Config:
-    """Parse ``"a1,...,an;b1,...,bd"``; the ``;bs`` part may be absent or empty."""
+    """Parse ``"a1,...,an;b1,...,bd"``; the ``;bs`` part may be absent or
+    empty, and no other entry may be."""
     text = text.strip()
-    if ";" in text:
-        left, _, right = text.partition(";")
-    else:
-        left, right = text, ""
+    left, _, right = text.partition(";")
+    if not left.strip():
+        raise PreconditionError(f"bad configuration text {text!r}: empty clique part")
     try:
-        clique = tuple(int(x) for x in left.split(",") if x.strip() != "")
-        indep = tuple(int(x) for x in right.split(",") if x.strip() != "")
+        # int refuses an empty entry
+        clique = tuple(int(x) for x in left.split(","))
+        indep = tuple(int(x) for x in right.split(",")) if right.strip() else ()
     except ValueError as exc:
         raise PreconditionError(f"bad configuration text {text!r}") from exc
-    if not clique:
-        raise PreconditionError(f"bad configuration text {text!r}: empty clique part")
     return Config(clique, indep)
 
 
@@ -165,31 +155,6 @@ def config_to_json(graph: SplitGraph, config: Config) -> dict:
         "clique": list(config.clique),
         "independent": list(config.independent),
     }
-
-
-@contextmanager
-def _reading_json(form: str):
-    """Read a documented JSON form: a missing key, a value of the wrong
-    type or a wrong number of values raises :class:`PreconditionError`.
-    Integer fields are read with ``operator.index``, which refuses
-    strings and floats."""
-    try:
-        yield
-    except PreconditionError:
-        raise
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise PreconditionError(f"bad {form} JSON ({type(exc).__name__}: {exc})") from exc
-
-
-def config_from_json(obj: dict) -> tuple[SplitGraph, Config]:
-    with _reading_json("configuration"):
-        graph = SplitGraph(operator.index(obj["n"]), operator.index(obj["d"]))
-        config = Config(
-            tuple(map(operator.index, obj["clique"])),
-            tuple(map(operator.index, obj["independent"])),
-        )
-    _check_shape(graph, config)
-    return graph, config
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,11 @@ EXIT_CONJECTURE = 10
 
 
 def _jobs(args) -> int:
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    return os.cpu_count() or 1
+    if args.jobs is None:
+        return os.cpu_count() or 1
+    if args.jobs < 1:
+        raise PreconditionError(f"need --jobs >= 1, got {args.jobs}")
+    return args.jobs
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,7 @@ def w_weight(
     return t_mu * zprod * m_factor * pi_mu * b_mu / w_mu
 
 
-class SymmetryReport(Record, frozen=False):
+class SymmetryReport(Record):
     """Per-point outcomes of the partition-sum identity check."""
 
     __slots__ = ("n", "points", "lhs", "rhs", "swapped_equal")
@@ -143,15 +143,16 @@ class SymmetryReport(Record, frozen=False):
         self,
         n: int,
         points: list[tuple[Fraction, Fraction, Fraction]],
-        lhs: list[Fraction] | None = None,
-        rhs: list[Fraction] | None = None,
-        swapped_equal: list[bool] | None = None,
+        lhs: list[Fraction],
+        rhs: list[Fraction],
+        swapped_equal: list[bool],
     ) -> None:
-        self.n = n
-        self.points = points
-        self.lhs = [] if lhs is None else lhs
-        self.rhs = [] if rhs is None else rhs
-        self.swapped_equal = [] if swapped_equal is None else swapped_equal
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "swapped_equal", swapped_equal)
+        object.__setattr__(self, "_values", (n, points, lhs, rhs, swapped_equal))
 
     @property
     def ok(self) -> bool:
@@ -182,13 +183,14 @@ def nabla_symmetry_check(
 
     mus = list(partitions_of(n))
     grid = [qt_schroder(n - d, d) for d in range(n + 1)]
-    report = SymmetryReport(n, [(Fraction(q), Fraction(t), Fraction(z)) for q, t, z in points])
-    for q0, t0, z0 in report.points:
-        lhs = sum((w_weight(mu, q0, t0, z0) for mu in mus), Fraction(0))
-        rhs = sum(z0 ** d * grid[d].evaluate(q0, t0) for d in range(n + 1))
-        lhs_swap = sum((w_weight(mu, t0, q0, z0) for mu in mus), Fraction(0))
-        rhs_swap = sum(z0 ** d * grid[d].evaluate(t0, q0) for d in range(n + 1))
-        report.lhs.append(lhs)
-        report.rhs.append(rhs)
-        report.swapped_equal.append(lhs == lhs_swap and rhs == rhs_swap)
-    return report
+    exact = [(Fraction(q), Fraction(t), Fraction(z)) for q, t, z in points]
+    lhs, rhs, swapped_equal = [], [], []
+    for q0, t0, z0 in exact:
+        left = sum((w_weight(mu, q0, t0, z0) for mu in mus), Fraction(0))
+        right = sum(z0 ** d * grid[d].evaluate(q0, t0) for d in range(n + 1))
+        left_swap = sum((w_weight(mu, t0, q0, z0) for mu in mus), Fraction(0))
+        right_swap = sum(z0 ** d * grid[d].evaluate(t0, q0) for d in range(n + 1))
+        lhs.append(left)
+        rhs.append(right)
+        swapped_equal.append(left == left_swap and right == right_swap)
+    return SymmetryReport(n, exact, lhs, rhs, swapped_equal)

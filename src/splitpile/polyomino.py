@@ -10,7 +10,6 @@ recurrent configurations map onto them directly.
 
 from __future__ import annotations
 
-import operator
 from functools import cached_property
 
 from .asm import (
@@ -19,7 +18,6 @@ from .asm import (
     PreconditionError,
     Record,
     SplitGraph,
-    _reading_json,
     _require_sorted_recurrent,
 )
 from . import schroder
@@ -87,12 +85,6 @@ class SawtoothPolyomino(Record):
 
     def to_json(self) -> dict:
         return {"dim": [self.n + 1, self.d], "upper": self.upper, "lower": self.lower}
-
-
-def polyomino_from_json(obj: dict) -> SawtoothPolyomino:
-    with _reading_json("polyomino"):
-        n_plus_1, d = map(operator.index, obj["dim"])
-        return SawtoothPolyomino(n_plus_1 - 1, d, obj["upper"], obj["lower"])
 
 
 def sts(word: str) -> SawtoothPolyomino:

@@ -23,7 +23,6 @@ from .asm import (
     InternalError,
     PreconditionError,
     SplitGraph,
-    _reading_json,
     enumerate_sorted_recurrent,
     level,
 )
@@ -127,12 +126,6 @@ class QtPolynomial:
 
     def to_json(self) -> dict:
         return {"terms": [{"q": qe, "t": te, "c": c} for qe, te, c in self.sorted_terms()]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "QtPolynomial":
-        with _reading_json("polynomial"):
-            index = operator.index
-            return cls({(index(t["q"]), index(t["t"])): index(t["c"]) for t in obj["terms"]})
 
     def to_latex(self) -> str:
         """Total degree descending; within a degree the q-heavy member of
@@ -412,19 +405,10 @@ def hexagon_shuffle_gf(a: int, b: int, c: int) -> QtPolynomial:
     out: dict[tuple[int, int], int] = {}
 
     def tri_under(word: str) -> int:
-        # lower triangles weakly below the path, no diagonal cutoff
-        x = y = total = 0
-        for ch in word:
-            if ch == "U":
-                y += 1
-            elif ch == "H":
-                total += y + 1
-                x += 1
-                y += 1
-            else:
-                total += y
-                x += 1
-        return total
+        # lower triangles weakly below the path, no diagonal cutoff: each
+        # H or D step has as many below it as the height it ends at
+        points = schroder.lattice_points(word)
+        return sum(y for ch, (_, y) in zip(word, points[1:]) if ch != "U")
 
     def inversions(word: str) -> int:
         # a D follows every H and U seen so far, an H every U

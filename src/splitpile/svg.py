@@ -11,6 +11,8 @@ from . import schroder as sc
 from .polyomino import SawtoothPolyomino, cti_bounce, itc_bounce
 
 _HEADER = '<?xml version="1.0" encoding="UTF-8"?>\n'
+CELL = 32  # pixels per lattice unit
+PAD = 16  # pixels of margin around the grid
 
 
 def _doc(width: int, height: int, body: list[str]) -> str:
@@ -32,26 +34,21 @@ def _polyline(points: list[tuple[int, int]], color: str, width: int, dashed: boo
     )
 
 
-def render_path(
-    word: str,
-    overlays: tuple[str, ...] = ("peaks", "bounce"),
-    cell: int = 32,
-    pad: int = 16,
-) -> str:
+def render_path(word: str, overlays: tuple[str, ...] = ("peaks", "bounce")) -> str:
     """A Schroder path on its grid with optional peak dots and the
     direct bounce-path overlay (red, dashed), mirroring the figures."""
     sc._require_schroder(word)
     size = word.count("U") + word.count("H")
-    side = size * cell + 2 * pad
+    side = size * CELL + 2 * PAD
 
     def px(p: tuple[int, int]) -> tuple[int, int]:
-        return (pad + p[0] * cell, pad + (size - p[1]) * cell)
+        return (PAD + p[0] * CELL, PAD + (size - p[1]) * CELL)
 
     body: list[str] = [f'<rect width="{side}" height="{side}" fill="white"/>']
     for i in range(size + 1):
-        c = pad + i * cell
-        body.append(f'<line x1="{c}" y1="{pad}" x2="{c}" y2="{side - pad}" stroke="#cccccc" stroke-width="1"/>')
-        body.append(f'<line x1="{pad}" y1="{c}" x2="{side - pad}" y2="{c}" stroke="#cccccc" stroke-width="1"/>')
+        c = PAD + i * CELL
+        body.append(f'<line x1="{c}" y1="{PAD}" x2="{c}" y2="{side - PAD}" stroke="#cccccc" stroke-width="1"/>')
+        body.append(f'<line x1="{PAD}" y1="{c}" x2="{side - PAD}" y2="{c}" stroke="#cccccc" stroke-width="1"/>')
     body.append(_polyline([px((0, 0)), px((size, size))], "#333333", 1))
 
     body.append(_polyline([px(p) for p in sc.lattice_points(word)], "#1f4fbf", 4))
@@ -64,35 +61,30 @@ def render_path(
             cx, cy = px(p)
             body.append(f'<circle cx="{cx}" cy="{cy}" r="5" fill="#cc2222"/>')
     body.append(
-        f'<text x="{pad}" y="{side - 2}" font-size="12" font-family="monospace">'
+        f'<text x="{PAD}" y="{side - 2}" font-size="12" font-family="monospace">'
         f"{word} area={sc.area(word)} bounce={sc.schroder_bounce(word)}</text>"
     )
     return _doc(side, side + 14, body)
 
 
-def render_polyomino(
-    poly: SawtoothPolyomino,
-    overlays: tuple[str, ...] = (),
-    cell: int = 32,
-    pad: int = 16,
-) -> str:
+def render_polyomino(poly: SawtoothPolyomino, overlays: tuple[str, ...] = ()) -> str:
     """The two boundary paths with optional CTI (red) and ITC (blue)
     bounce-path overlays."""
     w = poly.n + 1
     h = poly.n + poly.d + 1  # upper path may climb above d
-    width = w * cell + 2 * pad
-    height = h * cell + 2 * pad + 14
+    width = w * CELL + 2 * PAD
+    height = h * CELL + 2 * PAD + 14
 
     def px(p: tuple[int, int]) -> tuple[int, int]:
-        return (pad + p[0] * cell, pad + (h - p[1]) * cell)
+        return (PAD + p[0] * CELL, PAD + (h - p[1]) * CELL)
 
     body: list[str] = [f'<rect width="{width}" height="{height}" fill="white"/>']
     for i in range(w + 1):
-        c = pad + i * cell
-        body.append(f'<line x1="{c}" y1="{pad}" x2="{c}" y2="{pad + h * cell}" stroke="#dddddd" stroke-width="1"/>')
+        c = PAD + i * CELL
+        body.append(f'<line x1="{c}" y1="{PAD}" x2="{c}" y2="{PAD + h * CELL}" stroke="#dddddd" stroke-width="1"/>')
     for j in range(h + 1):
-        c = pad + j * cell
-        body.append(f'<line x1="{pad}" y1="{c}" x2="{pad + w * cell}" y2="{c}" stroke="#dddddd" stroke-width="1"/>')
+        c = PAD + j * CELL
+        body.append(f'<line x1="{PAD}" y1="{c}" x2="{PAD + w * CELL}" y2="{c}" stroke="#dddddd" stroke-width="1"/>')
 
     body.append(_polyline([px(p) for p in poly.upper_points()], "#1f4fbf", 4))
     body.append(_polyline([px(p) for p in poly.lower_points()], "#444444", 4))
@@ -102,7 +94,7 @@ def render_polyomino(
             body.append(_polyline([px(p) for p in bounce(poly).path], color, 2, dashed=True))
 
     body.append(
-        f'<text x="{pad}" y="{height - 2}" font-size="12" font-family="monospace">'
+        f'<text x="{PAD}" y="{height - 2}" font-size="12" font-family="monospace">'
         f"dim=({poly.n + 1},{poly.d})</text>"
     )
     return _doc(width, height, body)

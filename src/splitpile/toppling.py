@@ -137,14 +137,8 @@ class ItcSequence(Record):
         return list(zip((x - 1 for x in (1,) + a[:-1]), b, a))
 
 
-def itc_sequence_of(trace: ToppleTrace) -> ItcSequence:
-    """Regroup an ITC trace's sizes into the [(q'), (p')] pair."""
-    if trace.mode != ITC:
-        raise PreconditionError(f"need an ITC trace, got mode {trace.mode}")
-    return itc_sequence_of_sizes(trace.sizes())
-
-
 def itc_sequence_of_sizes(sizes: tuple[int, ...]) -> ItcSequence:
+    """Regroup an ITC trace's sizes into the [(q'), (p')] pair."""
     return ItcSequence(sizes[0::2], sizes[1::2])
 
 

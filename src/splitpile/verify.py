@@ -35,7 +35,7 @@ from .asm import (
 from .partitions import nabla_symmetry_check, partitions_of
 
 
-class VerificationReport(Record, frozen=False):
+class VerificationReport(Record):
     __slots__ = ("check", "params", "status", "counterexample", "seconds")
 
     def __init__(
@@ -43,14 +43,15 @@ class VerificationReport(Record, frozen=False):
         check: str,
         params: dict,
         status: str,  # "pass", "fail", or "error" (an InternalError in the check)
-        counterexample: dict | None = None,
-        seconds: float = 0.0,
+        counterexample: dict | None,
+        seconds: float,
     ) -> None:
-        self.check = check
-        self.params = params
-        self.status = status
-        self.counterexample = counterexample
-        self.seconds = seconds
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "counterexample", counterexample)
+        object.__setattr__(self, "seconds", seconds)
+        object.__setattr__(self, "_values", (check, params, status, counterexample, seconds))
 
     @property
     def ok(self) -> bool:
@@ -66,12 +67,6 @@ class VerificationReport(Record, frozen=False):
         if self.counterexample is not None:
             out["counterexample"] = self.counterexample
         return out
-
-
-def _report(check: str, params: dict, counterexample: dict | None) -> VerificationReport:
-    return VerificationReport(
-        check, params, "pass" if counterexample is None else "fail", counterexample
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -524,11 +519,11 @@ def run_task(task: tuple[str, dict]) -> VerificationReport:
     name, params = task
     try:
         # positional, in the order of params, which is each check's signature
-        rep = _report(name, params, _CHECK_FUNCS[name](*params.values()))
+        counterexample = _CHECK_FUNCS[name](*params.values())
+        status = "pass" if counterexample is None else "fail"
     except InternalError as exc:
-        rep = VerificationReport(name, params, "error", {"internal_error": str(exc)})
-    rep.seconds = time.perf_counter() - start
-    return rep
+        status, counterexample = "error", {"internal_error": str(exc)}
+    return VerificationReport(name, params, status, counterexample, time.perf_counter() - start)
 
 
 def run_suite(

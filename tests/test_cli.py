@@ -272,6 +272,14 @@ def test_stats_rejects_shape_mismatch(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("text", ["3,,3;2,2", ",3,3;2,2", "3,3;2,,2"])
+def test_stats_rejects_empty_entries(capsys, text):
+    code, out, err = run_cli(capsys, "stats", text, "-n", "2", "-d", "2")
+    assert code == 3
+    assert out == ""
+    assert err == f"error: bad configuration text {text!r}\n"
+
+
 def test_poly_latex(capsys):
     code, out, _ = run_cli(capsys, "poly", "-n", "2", "-d", "2", "--method", "cti", "--format", "latex")
     assert code == 0
@@ -388,6 +396,14 @@ def test_verify_all_rejects_negative_max_n(capsys):
     code, out, err = run_cli(capsys, "verify", "all", "--max-n", "-3")
     assert code == 3
     assert out == "" and "checks passed" not in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_verify_rejects_fewer_than_one_job(capsys, jobs):
+    code, out, err = run_cli(capsys, "--jobs", jobs, "verify", "theorems", "--max-n", "1", "--max-d", "0")
+    assert code == 3
+    assert out == ""
+    assert err == f"error: need --jobs >= 1, got {jobs}\n"
 
 
 def test_poly_mismatch_certificate(capsys, monkeypatch):

@@ -24,7 +24,7 @@ from splitpile.schroder import (
     word_le,
 )
 from splitpile.svg import render_path
-from splitpile.toppling import itc_sequence_of, topple_itc, wtopple
+from splitpile.toppling import itc_sequence_of_sizes, topple_itc, wtopple
 
 W53 = "UHUDUHHDUDUDD"
 M53 = "UUDUDUHHDUDHD"
@@ -212,7 +212,7 @@ def test_peaks_coincide_with_loop_formula():
         g = SplitGraph(n, d)
         for c in enumerate_sorted_recurrent(g):
             w = mirror(phi_inv(c))
-            seq = itc_sequence_of(topple_itc(g, c))
+            seq = itc_sequence_of_sizes(topple_itc(g, c).sizes())
             p, q = seq.a, seq.b
             expected = []
             for i in range(1, seq.length + 1):
@@ -308,7 +308,7 @@ def test_lattice_points_moves():
 
 def test_render_path_draws_the_word():
     # the blue polyline is exactly the pixel image of the walked word
-    doc = render_path(M53, overlays=(), cell=32)
+    doc = render_path(M53, overlays=())
     pad, size = 16, M53.count("U") + M53.count("H")
     expected = " ".join(f"{pad + x * 32},{pad + (size - y) * 32}" for x, y in lattice_points(M53))
     assert f'<polyline points="{expected}" fill="none" stroke="#1f4fbf"' in doc

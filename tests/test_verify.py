@@ -97,15 +97,14 @@ def test_conjecture_names_registered():
     assert "all" in SUITES
 
 
-def test_failed_reports_carry_counterexamples():
-    # force a failing check by asking a check function directly about a
-    # statement that is false: reuse the report plumbing via a fake task
-    from splitpile.verify import VerificationReport, _report
-
-    rep = _report("demo", {"n": 1}, {"config": "0"})
-    assert not rep.ok
+def test_failed_reports_carry_counterexamples(monkeypatch):
+    # a check fails exactly when it returns a counterexample payload
+    monkeypatch.setitem(vf._CHECK_FUNCS, "demo", lambda n: {"config": "0"} if n else None)
+    rep = run_task(("demo", {"n": 1}))
+    assert rep.status == "fail" and not rep.ok
     assert rep.to_json()["counterexample"] == {"config": "0"}
-    ok = VerificationReport("demo", {}, "pass")
+    ok = run_task(("demo", {"n": 0}))
+    assert ok.status == "pass" and ok.ok
     assert "counterexample" not in ok.to_json()
 
 
