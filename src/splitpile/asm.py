@@ -34,10 +34,12 @@ class Record:
     """Base of the package's small value records.
 
     A subclass names its fields in ``__slots__`` (``"__dict__"`` too if it
-    caches properties), and its ``__init__`` sets them, and ``_values`` to
-    their tuple, through ``object.__setattr__``.  A record equals only a
-    record of its own class with equal fields, hashes as that tuple, prints
-    as ``Name(field=value, ...)``, pickles and copies by rebuilding itself
+    caches properties), with their types annotated next to them.  The
+    constructor takes the fields by position or by name, as a signature
+    would, and sets them and ``_values``, their tuple; a subclass that
+    checks its fields calls it last.  A record equals only a record of
+    its own class with equal fields, hashes as that tuple, prints as
+    ``Name(field=value, ...)``, pickles and copies by rebuilding itself
     from it, and refuses assignment.
     """
 
@@ -48,6 +50,25 @@ class Record:
         super().__init_subclass__(**kwargs)
         # a subclass's fields follow those of the record it extends
         cls._fields += tuple(f for f in vars(cls).get("__slots__", ()) if f != "__dict__")
+
+    def __init__(self, *values, **named) -> None:
+        fields = self._fields
+        if named or len(values) != len(fields):
+            # bind the call as a signature would
+            name, given, rest = type(self).__name__, len(values), fields[len(values):]
+            if given > len(fields):
+                raise TypeError(f"{name} takes {len(fields)} fields but {given} were given")
+            for key in named:
+                if key not in rest:
+                    fault = f"got {key!r} twice" if key in fields else f"has no field {key!r}"
+                    raise TypeError(f"{name} {fault}")
+            missing = [f for f in rest if f not in named]
+            if missing:
+                raise TypeError(f"{name} is missing field(s) {', '.join(missing)}")
+            values += tuple(named[f] for f in rest)
+        for field, value in zip(fields, values):
+            object.__setattr__(self, field, value)
+        object.__setattr__(self, "_values", values)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -79,9 +100,7 @@ class SplitGraph(Record):
     def __init__(self, n: int, d: int) -> None:
         if n < 1 or d < 0:
             raise PreconditionError(f"need n >= 1 and d >= 0, got ({n}, {d})")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "_values", (n, d))
+        super().__init__(n, d)
 
     @property
     def clique_degree(self) -> int:
@@ -235,11 +254,8 @@ class StabilizationTrace(Record):
     """
 
     __slots__ = ("final", "odometer")
-
-    def __init__(self, final: Config, odometer: tuple[int, ...]) -> None:
-        object.__setattr__(self, "final", final)
-        object.__setattr__(self, "odometer", odometer)
-        object.__setattr__(self, "_values", (final, odometer))
+    final: Config
+    odometer: tuple[int, ...]
 
 
 def _topple_inplace(graph: SplitGraph, a: list[int], b: list[int], v: int) -> None:
@@ -297,7 +313,9 @@ def _stabilize_raw(
     config: Config,
     pick: Callable[[list[int]], int] | None = None,
 ) -> StabilizationTrace:
-    """Stabilize without the non-negativity precondition (operator framework use).
+    """Stabilize without the non-negativity precondition: the body of
+    :func:`stabilize`, and the tests' reference runs on configurations
+    with negative entries.
 
     Without ``pick`` the counter form :func:`_settle` gives the final
     configuration and the odometer.  With ``pick`` every step is one

@@ -68,6 +68,8 @@ def _jobs(args) -> int:
 def cmd_enumerate(args) -> int:
     graph = SplitGraph(args.n, args.d)
     fmt = args.format
+    if fmt == "csv" and args.kind != "recurrent":
+        raise PreconditionError(f"--format csv is for enumerate recurrent only, not {args.kind}")
     out = sys.stdout
 
     def emit(text_form: str, json_form) -> None:
@@ -184,6 +186,8 @@ def _config_stats(graph: SplitGraph, config) -> dict:
 
 
 def cmd_stats(args) -> int:
+    if args.word is not None and args.config is not None:
+        raise PreconditionError("stats takes --word or a config, not both")
     if args.word is not None:
         payload = _word_stats(args.word)
     else:
@@ -280,9 +284,10 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_render(args) -> int:
+    if sum(x is not None for x in (args.word, args.config, args.batch_dir)) != 1:
+        raise PreconditionError("render needs exactly one of --word, a config and --batch-dir")
     overlays = tuple(x for x in (args.overlay or "").split(",") if x)
-    word_mode = args.batch_dir is None and args.word is not None
-    allowed = ("peaks", "bounce") if word_mode else ("cti", "itc")
+    allowed = ("peaks", "bounce") if args.word is not None else ("cti", "itc")
     unknown = [x for x in overlays if x not in allowed]
     if unknown:
         raise PreconditionError(
@@ -305,14 +310,12 @@ def cmd_render(args) -> int:
 
     if args.word is not None:
         doc = svg.render_path(args.word, overlays=overlays or allowed)
-    elif args.config is not None:
+    else:
         if args.n is None or args.d is None:
             raise PreconditionError("rendering a configuration needs -n and -d")
         graph = SplitGraph(args.n, args.d)
         config = parse_config(args.config)
         doc = svg.render_polyomino(po.from_config(graph, config), overlays=overlays)
-    else:
-        raise PreconditionError("render needs --word, a config, or --batch-dir")
     if args.out:
         Path(args.out).write_text(doc, encoding="utf-8")
     else:

@@ -39,8 +39,7 @@ class Partition(Record):
             raise PreconditionError("parts must be positive")
         if any(a < b for a, b in zip(parts, parts[1:])):
             raise PreconditionError("parts must be weakly decreasing")
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "_values", (parts,))
+        super().__init__(parts)
 
     @property
     def size(self) -> int:
@@ -138,21 +137,11 @@ class SymmetryReport(Record):
     """Per-point outcomes of the partition-sum identity check."""
 
     __slots__ = ("n", "points", "lhs", "rhs", "swapped_equal")
-
-    def __init__(
-        self,
-        n: int,
-        points: list[tuple[Fraction, Fraction, Fraction]],
-        lhs: list[Fraction],
-        rhs: list[Fraction],
-        swapped_equal: list[bool],
-    ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "swapped_equal", swapped_equal)
-        object.__setattr__(self, "_values", (n, points, lhs, rhs, swapped_equal))
+    n: int
+    points: list[tuple[Fraction, Fraction, Fraction]]
+    lhs: list[Fraction]
+    rhs: list[Fraction]
+    swapped_equal: list[bool]
 
     @property
     def ok(self) -> bool:

@@ -46,11 +46,7 @@ class SawtoothPolyomino(Record):
             raise PreconditionError("upper path needs n+1 nw and n+1+d s steps")
         if lower.count("W") != n + 1 or lower.count("S") != d:
             raise PreconditionError("lower path needs n+1 w and d s steps")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "_values", (n, d, upper, lower))
+        super().__init__(n, d, upper, lower)
 
     @property
     def dim(self) -> tuple[int, int]:
@@ -192,14 +188,9 @@ class BounceRecord(Record):
     """
 
     __slots__ = ("mode", "sizes", "path")
-
-    def __init__(
-        self, mode: str, sizes: tuple[int, ...], path: tuple[tuple[int, int], ...]
-    ) -> None:
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "_values", (mode, sizes, path))
+    mode: str
+    sizes: tuple[int, ...]
+    path: tuple[tuple[int, int], ...]
 
 
 def _bounce(poly: SawtoothPolyomino, mode: str) -> BounceRecord:

@@ -407,8 +407,16 @@ def hexagon_shuffle_gf(a: int, b: int, c: int) -> QtPolynomial:
     def tri_under(word: str) -> int:
         # lower triangles weakly below the path, no diagonal cutoff: each
         # H or D step has as many below it as the height it ends at
-        points = schroder.lattice_points(word)
-        return sum(y for ch, (_, y) in zip(word, points[1:]) if ch != "U")
+        y = total = 0
+        for ch in word:
+            if ch == "U":
+                y += 1
+            elif ch == "H":
+                y += 1
+                total += y
+            else:
+                total += y
+        return total
 
     def inversions(word: str) -> int:
         # a D follows every H and U seen so far, an H every U

@@ -35,13 +35,8 @@ class ToppleTrace(Record):
     """
 
     __slots__ = ("mode", "rounds")
-
-    def __init__(
-        self, mode: str, rounds: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    ) -> None:
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "rounds", rounds)
-        object.__setattr__(self, "_values", (mode, rounds))
+    mode: str
+    rounds: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
     def sizes(self) -> tuple[int, ...]:
         """Flattened block sizes (p1, q1, ..., pt, qt) resp. (q'1, p'1, ...)."""
@@ -112,9 +107,7 @@ class ItcSequence(Record):
         b, a = tuple(b), tuple(a)
         if len(a) != len(b) or not a:
             raise PreconditionError("sequence parts must be non-empty and equally long")
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "_values", (b, a))
+        super().__init__(b, a)
 
     @property
     def length(self) -> int:

@@ -37,21 +37,11 @@ from .partitions import nabla_symmetry_check, partitions_of
 
 class VerificationReport(Record):
     __slots__ = ("check", "params", "status", "counterexample", "seconds")
-
-    def __init__(
-        self,
-        check: str,
-        params: dict,
-        status: str,  # "pass", "fail", or "error" (an InternalError in the check)
-        counterexample: dict | None,
-        seconds: float,
-    ) -> None:
-        object.__setattr__(self, "check", check)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "counterexample", counterexample)
-        object.__setattr__(self, "seconds", seconds)
-        object.__setattr__(self, "_values", (check, params, status, counterexample, seconds))
+    check: str
+    params: dict
+    status: str  # "pass", "fail", or "error" (an InternalError in the check)
+    counterexample: dict | None
+    seconds: float
 
     @property
     def ok(self) -> bool:

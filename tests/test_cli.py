@@ -207,6 +207,15 @@ def test_enumerate_words_and_sequences(capsys):
     assert len(rows) == 90
 
 
+@pytest.mark.parametrize("kind", ["words", "polyominoes", "itc-sequences", "quasistable"])
+def test_enumerate_csv_is_for_recurrent_only(capsys, kind):
+    # only recurrent has CSV rows; the others printed their text rows
+    code, out, err = run_cli(capsys, "enumerate", kind, "-n", "2", "-d", "1", "--format", "csv")
+    assert code == 3
+    assert out == ""
+    assert err == f"error: --format csv is for enumerate recurrent only, not {kind}\n"
+
+
 def test_enumerate_json_roundtrips_through_stats(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "recurrent", "-n", "2", "-d", "2", "--format", "json")
     assert code == 0
@@ -278,6 +287,14 @@ def test_stats_rejects_empty_entries(capsys, text):
     assert code == 3
     assert out == ""
     assert err == f"error: bad configuration text {text!r}\n"
+
+
+def test_stats_refuses_a_word_and_a_config(capsys):
+    # the word's statistics were printed and the configuration ignored
+    code, out, err = run_cli(capsys, "stats", "3,3;2,2", "-n", "2", "-d", "2", "--word", "UHD")
+    assert code == 3
+    assert out == ""
+    assert err == "error: stats takes --word or a config, not both\n"
 
 
 def test_poly_latex(capsys):
@@ -575,6 +592,25 @@ def test_render_rejects_unknown_polyomino_overlay(capsys):
 def test_render_requires_input(capsys):
     code, _, _ = run_cli(capsys, "render")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "inputs",
+    [
+        ["3,3;2,2", "--word", "UHD"],
+        ["--batch-dir", "figs", "--word", "UHD"],
+        ["--batch-dir", "figs", "3,3;2,2"],
+    ],
+    ids=["config-and-word", "batch-and-word", "batch-and-config"],
+)
+def test_render_refuses_more_than_one_input(tmp_path, capsys, inputs):
+    # the word won over the configuration, and the batch over both
+    argv = [str(tmp_path / x) if x == "figs" else x for x in inputs]
+    code, out, err = run_cli(capsys, "render", *argv, "-n", "2", "-d", "2")
+    assert code == 3
+    assert out == ""
+    assert err == "error: render needs exactly one of --word, a config and --batch-dir\n"
+    assert not (tmp_path / "figs").exists()
 
 
 def test_usage_error_exit_code():

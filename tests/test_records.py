@@ -89,6 +89,16 @@ def test_construction_equality_and_repr(cls, fields, changed):
     assert record != sub(*fields.values()) and sub(*fields.values()) != record
     body = ", ".join(f"{name}={value!r}" for name, value in fields.items())
     assert repr(record) == f"{cls.__name__}({body})"
+    # the constructor binds its fields as a signature would
+    values = tuple(fields.values())
+    for refused in (
+        lambda: cls(*values[:-1]),  # the last field missing
+        lambda: cls(*values, values[0]),  # an extra positional
+        lambda: cls(**fields, unknown=values[0]),  # an unknown keyword
+        lambda: cls(values[0], **fields),  # the first field given twice
+    ):
+        with pytest.raises(TypeError, match=cls.__name__):
+            refused()
 
 
 @pytest.mark.parametrize("cls, fields, changed", FROZEN, ids=_ids(FROZEN))
