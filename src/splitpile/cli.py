@@ -189,6 +189,8 @@ def cmd_stats(args) -> int:
     if args.word is not None and args.config is not None:
         raise PreconditionError("stats takes --word or a config, not both")
     if args.word is not None:
+        if args.n is not None or args.d is not None:
+            raise PreconditionError("stats --word takes no -n or -d")
         payload = _word_stats(args.word)
     else:
         if args.config is None or args.n is None or args.d is None:
@@ -286,6 +288,10 @@ def cmd_verify(args) -> int:
 def cmd_render(args) -> int:
     if sum(x is not None for x in (args.word, args.config, args.batch_dir)) != 1:
         raise PreconditionError("render needs exactly one of --word, a config and --batch-dir")
+    if args.word is not None and (args.n is not None or args.d is not None):
+        raise PreconditionError("render --word takes no -n or -d")
+    if args.batch_dir is not None and args.out is not None:
+        raise PreconditionError("render --batch-dir takes no --out")
     overlays = tuple(x for x in (args.overlay or "").split(",") if x)
     allowed = ("peaks", "bounce") if args.word is not None else ("cti", "itc")
     unknown = [x for x in overlays if x not in allowed]

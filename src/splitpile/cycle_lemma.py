@@ -31,7 +31,6 @@ from .asm import (
 
 TS, TK, TI, TW = "Ts", "TK", "TI", "TW"
 TS_INV, TK_INV, TI_INV, TW_INV = "Ts_inv", "TK_inv", "TI_inv", "TW_inv"
-OPERATORS = (TS, TK, TI, TW, TS_INV, TK_INV, TI_INV, TW_INV)
 
 
 def spread(values: tuple[int, ...]) -> int:

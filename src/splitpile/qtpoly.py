@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from functools import lru_cache
 from itertools import product, zip_longest
 from typing import TYPE_CHECKING, Iterable
@@ -213,12 +214,10 @@ def q_multinomial(a: int, b: int, c: int) -> QtPolynomial:
 
 def _toppling_gf(n: int, d: int, sizes_of) -> QtPolynomial:
     graph = SplitGraph(n, d)
-    out: dict[tuple[int, int], int] = {}
-    for c in enumerate_sorted_recurrent(graph):
-        w = toppling.wtopple_of_sizes(sizes_of(graph, c))
-        key = (level(graph, c), w - (n + d))
-        out[key] = out.get(key, 0) + 1
-    return QtPolynomial(out)
+    return QtPolynomial(Counter(
+        (level(graph, c), toppling.wtopple_of_sizes(sizes_of(graph, c)) - (n + d))
+        for c in enumerate_sorted_recurrent(graph)
+    ))
 
 
 def f_cti(n: int, d: int) -> QtPolynomial:
@@ -235,11 +234,10 @@ def qt_schroder(n: int, d: int) -> QtPolynomial:
     """Sum of q^area t^bounce over Schroder words with n U's and d H's."""
     if n < 0 or d < 0:
         raise PreconditionError(f"need n >= 0 and d >= 0, got ({n}, {d})")
-    out: dict[tuple[int, int], int] = {}
-    for w in schroder.enumerate_schroder(n, d):
-        key = (schroder.area(w), schroder.schroder_bounce(w))
-        out[key] = out.get(key, 0) + 1
-    return QtPolynomial(out)
+    return QtPolynomial(Counter(
+        (schroder.area(w), schroder.schroder_bounce(w))
+        for w in schroder.enumerate_schroder(n, d)
+    ))
 
 
 def _slot_bytes(total: int) -> int:
@@ -402,7 +400,7 @@ def hexagon_shuffle_gf(a: int, b: int, c: int) -> QtPolynomial:
     under D < H < U, which is checked.  The verify suite and the tests
     compare the sum with the q-multinomial.
     """
-    out: dict[tuple[int, int], int] = {}
+    out: Counter[tuple[int, int]] = Counter()
 
     def tri_under(word: str) -> int:
         # lower triangles weakly below the path, no diagonal cutoff: each
@@ -436,7 +434,7 @@ def hexagon_shuffle_gf(a: int, b: int, c: int) -> QtPolynomial:
         enclosed = tri_under(w) - base
         if enclosed != inversions(w):
             raise InternalError(f"enclosed triangles != inversions for {w!r}")
-        out[(enclosed, 0)] = out.get((enclosed, 0), 0) + 1
+        out[(enclosed, 0)] += 1
     return QtPolynomial(out)
 
 

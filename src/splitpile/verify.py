@@ -18,6 +18,7 @@ from . import qtpoly as qt
 from . import schroder as sc
 from . import toppling as tp
 from .asm import (
+    SINK,
     Config,
     InternalError,
     PreconditionError,
@@ -31,6 +32,7 @@ from .asm import (
     level,
     sorted_recurrent_count,
     stabilize,
+    topple,
 )
 from .partitions import nabla_symmetry_check, partitions_of
 
@@ -64,19 +66,22 @@ class VerificationReport(Record):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _recurrent(n: int, d: int) -> tuple[Config, ...]:
-    """The sorted recurrent configurations of S(n, d), kept for the
-    checks below, which read each shape several times."""
-    return tuple(enumerate_sorted_recurrent(SplitGraph(n, d)))
-
-
-@lru_cache(maxsize=None)
-def _words(n: int, d: int) -> tuple[str, ...]:
-    """``mirror(phi_inv(c))`` for each configuration of :func:`_recurrent`,
-    in its order, so that the checks that convert the configurations
-    compute each word once; ``mirror`` is an involution, so it also gives
-    back ``phi_inv(c)``."""
-    return tuple(sc.mirror(sc.phi_inv(c)) for c in _recurrent(n, d))
+def _rows(
+    n: int, d: int
+) -> tuple[tuple[Config, ...], tuple[str, ...], tuple[tuple[int, ...], ...]]:
+    """The rows ``(c, mirror(phi_inv(c)), itc_sizes(c))`` of the sorted
+    recurrent configurations c of S(n, d), in the order of
+    :func:`enumerate_sorted_recurrent`.  The checks below read each shape
+    several times, so each configuration is converted and burnt here
+    once; ``mirror`` is an involution, so the word also gives back
+    ``phi_inv(c)``.  The rows are kept as their three columns, read with
+    ``zip(*_rows(n, d))``, so that a row costs no tuple of its own, and
+    equal size tuples are one tuple, as equal independent parts are."""
+    graph = SplitGraph(n, d)
+    configs = tuple(enumerate_sorted_recurrent(graph))
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    sizes = tuple(shared.setdefault(s, s) for s in (tp.itc_sizes(graph, c) for c in configs))
+    return configs, tuple(sc.mirror(sc.phi_inv(c)) for c in configs), sizes
 
 
 @lru_cache(maxsize=None)
@@ -89,7 +94,7 @@ def _polynomial(method, n: int, d: int) -> qt.QtPolynomial:
 
 
 def check_phi_roundtrip(n: int, d: int) -> dict | None:
-    for c, word in zip(_recurrent(n, d), _words(n, d)):
+    for c, word, _ in zip(*_rows(n, d)):
         w = sc.mirror(word)
         if sc.phi(w) != c:
             return {"config": format_config(c), "word": w}
@@ -119,7 +124,7 @@ def check_sts_validity(n: int, d: int) -> dict | None:
 
 def check_from_config_route(n: int, d: int) -> dict | None:
     graph = SplitGraph(n, d)
-    for c, w in zip(_recurrent(n, d), _words(n, d)):
+    for c, w, _ in zip(*_rows(n, d)):
         if po.from_config(graph, c) != po.sts(sc.mirror(w)):
             return {"config": format_config(c)}
     return None
@@ -127,16 +132,15 @@ def check_from_config_route(n: int, d: int) -> dict | None:
 
 def check_area_level(n: int, d: int) -> dict | None:
     graph = SplitGraph(n, d)
-    for c, w in zip(_recurrent(n, d), _words(n, d)):
+    for c, w, _ in zip(*_rows(n, d)):
         if sc.area(w) != level(graph, c):
             return {"config": format_config(c), "word": w}
     return None
 
 
 def check_bounce_wtopple(n: int, d: int) -> dict | None:
-    graph = SplitGraph(n, d)
-    for c, w in zip(_recurrent(n, d), _words(n, d)):
-        if sc.schroder_bounce(w) != tp.wtopple_of_sizes(tp.itc_sizes(graph, c)) - (n + d):
+    for c, w, sizes in zip(*_rows(n, d)):
+        if sc.schroder_bounce(w) != tp.wtopple_of_sizes(sizes) - (n + d):
             return {"config": format_config(c), "word": w}
     return None
 
@@ -144,9 +148,8 @@ def check_bounce_wtopple(n: int, d: int) -> dict | None:
 def check_peaks_coincide(n: int, d: int) -> dict | None:
     """Geometric peaks match the loop formula from the ITC sequence, and
     the direct band-walk bounce path passes through exactly those peaks."""
-    graph = SplitGraph(n, d)
-    for c, w in zip(_recurrent(n, d), _words(n, d)):
-        seq = tp.itc_sequence_of_sizes(tp.itc_sizes(graph, c))
+    for c, w, sizes in zip(*_rows(n, d)):
+        seq = tp.itc_sequence_of_sizes(sizes)
         p, q = seq.a, seq.b
         k = seq.length
         loop_peaks = []
@@ -174,23 +177,19 @@ def check_bounce_formulations(n: int, d: int) -> dict | None:
 def check_polyomino_statistics(n: int, d: int) -> dict | None:
     graph = SplitGraph(n, d)
     offset = graph.nonsink_edges - (n + d)
-    for c in _recurrent(n, d):
+    for c, _, sizes in zip(*_rows(n, d)):
         poly = po.from_config(graph, c)
         if height(c) != po.area(poly) + offset:
             return {"config": format_config(c), "area": po.area(poly)}
         if po.cti_bounce(poly).sizes != tp.cti_sizes(graph, c):
             return {"config": format_config(c), "which": "cti"}
-        if po.itc_bounce(poly).sizes != tp.itc_sizes(graph, c):
+        if po.itc_bounce(poly).sizes != sizes:
             return {"config": format_config(c), "which": "itc"}
     return None
 
 
 def check_itc_sequence_sets(n: int, d: int) -> dict | None:
-    graph = SplitGraph(n, d)
-    image = {
-        tp.itc_sequence_of_sizes(tp.itc_sizes(graph, c))
-        for c in _recurrent(n, d)
-    }
+    image = {tp.itc_sequence_of_sizes(sizes) for sizes in _rows(n, d)[2]}
     described = set(tp.all_itc_sequences(n, d))
     if image != described:
         diff = described ^ image
@@ -200,7 +199,7 @@ def check_itc_sequence_sets(n: int, d: int) -> dict | None:
 
 
 def check_counts(n: int, d: int) -> dict | None:
-    enumerated = len(_recurrent(n, d))
+    enumerated = len(_rows(n, d)[0])
     if enumerated != sorted_recurrent_count(n, d):
         return {"enumerated": enumerated, "formula": sorted_recurrent_count(n, d)}
     return None
@@ -247,11 +246,8 @@ def check_burning_returns(n: int, d: int) -> dict | None:
     """Toppling the sink then stabilizing a recurrent configuration
     returns it with every vertex toppling exactly once."""
     graph = SplitGraph(n, d)
-    for c in _recurrent(n, d):
-        bumped = Config(
-            tuple(x + 1 for x in c.clique), tuple(x + 1 for x in c.independent)
-        )
-        trace = stabilize(graph, bumped)
+    for c in _rows(n, d)[0]:
+        trace = stabilize(graph, topple(graph, c, SINK))
         if trace.final != c or set(trace.odometer[:-1]) != {1}:
             return {"config": format_config(c)}
     return None
@@ -265,7 +261,7 @@ def check_cycle_lemma(n: int, d: int) -> dict | None:
     cover QSN iff their sizes add up to its streamed count and closed form."""
     graph = SplitGraph(n, d)
     counted = 0
-    for v in _recurrent(n, d):
+    for v in _rows(n, d)[0]:
         members = cl.class_members(graph, v)
         if not (len(members) == len(set(members)) == n + 1 and v in members):
             return {"config": format_config(v)}
@@ -352,11 +348,11 @@ def check_conjecture_cti_schroder(n: int, d: int) -> dict | None:
 def check_fiber_intervals(n: int, d: int) -> dict | None:
     """Every ITC fiber is the triangle-containment interval between the
     two extremal words.  The fibers are :func:`qtpoly.itc_fibers`, grouped
-    here from the words :func:`_words` already holds."""
-    graph = SplitGraph(n, d)
+    here from the rows of :func:`_rows`: each row's word goes to the
+    fiber of its ITC sizes."""
     fibers: dict[tp.ItcSequence, list[str]] = {}
-    for c, w in zip(_recurrent(n, d), _words(n, d)):
-        fibers.setdefault(tp.itc_sequence_of_sizes(tp.itc_sizes(graph, c)), []).append(w)
+    for _, w, sizes in zip(*_rows(n, d)):
+        fibers.setdefault(tp.itc_sequence_of_sizes(sizes), []).append(w)
     described = set(tp.all_itc_sequences(n, d))
     if set(fibers) != described:
         return {"fibers": len(fibers), "described": len(described)}

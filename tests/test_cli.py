@@ -297,6 +297,15 @@ def test_stats_refuses_a_word_and_a_config(capsys):
     assert err == "error: stats takes --word or a config, not both\n"
 
 
+@pytest.mark.parametrize("shape", [["-n", "5", "-d", "3"], ["-n", "5"], ["-d", "3"]])
+def test_stats_word_refuses_a_shape(capsys, shape):
+    # the statistics of the word's own S(1,1) were printed and the shape ignored
+    code, out, err = run_cli(capsys, "stats", "--word", "UHD", *shape)
+    assert code == 3
+    assert out == ""
+    assert err == "error: stats --word takes no -n or -d\n"
+
+
 def test_poly_latex(capsys):
     code, out, _ = run_cli(capsys, "poly", "-n", "2", "-d", "2", "--method", "cti", "--format", "latex")
     assert code == 0
@@ -611,6 +620,25 @@ def test_render_refuses_more_than_one_input(tmp_path, capsys, inputs):
     assert out == ""
     assert err == "error: render needs exactly one of --word, a config and --batch-dir\n"
     assert not (tmp_path / "figs").exists()
+
+
+@pytest.mark.parametrize(
+    "inputs, message",
+    [
+        (["--word", "UHD", "-n", "5", "-d", "3"], "render --word takes no -n or -d"),
+        (["--batch-dir", "figs", "-n", "1", "-d", "1"], "render --batch-dir takes no --out"),
+    ],
+    ids=["word-and-shape", "batch-and-out"],
+)
+def test_render_refuses_dropped_options(tmp_path, capsys, inputs, message):
+    # the word ignored -n and -d; the batch was written and --out never created
+    argv = [str(tmp_path / x) if x == "figs" else x for x in inputs]
+    out_file = tmp_path / "one.svg"
+    code, out, err = run_cli(capsys, "render", *argv, "--out", str(out_file))
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "figs").exists() and not out_file.exists()
 
 
 def test_usage_error_exit_code():

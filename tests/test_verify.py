@@ -16,12 +16,12 @@ from splitpile.asm import (
     StabilizationTrace,
     enumerate_sorted_recurrent,
     format_config,
+    sorted_recurrent_count,
 )
 from splitpile.verify import (
     CONJECTURE_CHECKS,
     SUITES,
-    _recurrent,
-    _words,
+    _rows,
     check_cycle_lemma,
     check_fiber_intervals,
     list_tasks,
@@ -111,7 +111,7 @@ def test_failed_reports_carry_counterexamples(monkeypatch):
 def test_cycle_lemma_check_holds_one_class_at_a_time():
     # verify keeps each shape's configurations for all its checks, so they
     # are read first
-    _recurrent(4, 3)
+    _rows(4, 3)
     tracemalloc.start()
     try:
         assert check_cycle_lemma(4, 3) is None
@@ -189,13 +189,25 @@ def test_cycle_lemma_check_needs_v_in_its_class(monkeypatch):
 
 
 def test_fiber_check_groups_the_words_verify_holds(monkeypatch):
-    _words(3, 2)
+    _rows(3, 2)
 
     def phi_inv(config):
         raise AssertionError(f"phi_inv({format_config(config)}) converted again")
 
     monkeypatch.setattr(sc, "phi_inv", phi_inv)
     assert check_fiber_intervals(3, 2) is None
+
+
+def test_itc_checks_burn_each_configuration_once(monkeypatch):
+    # the five checks that read ITC sizes take them from the shape's rows
+    calls = []
+    real = tp.itc_sizes
+    monkeypatch.setattr(tp, "itc_sizes", lambda graph, c: calls.append(c) or real(graph, c))
+    _rows.cache_clear()
+    for check in ("bounce_equals_wtopple", "peaks_coincide", "polyomino_statistics",
+                  "itc_sequence_description", "fiber_intervals"):
+        assert run_task((check, {"n": 3, "d": 2})).ok, check
+    assert len(calls) == sorted_recurrent_count(3, 2)
 
 
 # each fault wraps the real function a check looks up when it runs
