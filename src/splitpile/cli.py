@@ -205,24 +205,15 @@ def cmd_stats(args) -> int:
 # poly
 # ---------------------------------------------------------------------------
 
-_METHODS = {
-    "cti": qt.f_cti,
-    "itc": qt.f_itc,
-    "schroder": qt.qt_schroder,
-    "egge": qt.egge_sum,
-    "itc-sum": qt.itc_sum,
-}
-
-
 def cmd_poly(args) -> int:
     n, d = args.n, args.d
     if n < 1:
         raise PreconditionError(f"poly needs n >= 1, got {n}")
     if args.method != "all":
-        poly = _METHODS[args.method](n, d)
+        poly = qt.METHODS[args.method](n, d)
         _print_poly(poly, args.format)
         return EXIT_OK
-    values = {name: fn(n, d) for name, fn in _METHODS.items()}
+    values = {name: fn(n, d) for name, fn in qt.METHODS.items()}
     reference = values["itc"]
     mismatched = {name: p for name, p in values.items() if p != reference}
     if mismatched:
@@ -235,8 +226,7 @@ def cmd_poly(args) -> int:
             },
         }
         sys.stdout.write(json.dumps(certificate, indent=2) + "\n")
-        # f_cti is the conjectural method; every other one is proved equal
-        return EXIT_CONJECTURE if set(mismatched) == {"cti"} else EXIT_MISMATCH
+        return EXIT_CONJECTURE if set(mismatched) <= qt.CONJECTURAL else EXIT_MISMATCH
     if args.format == "latex":
         sys.stdout.write(f"% {len(values)} methods agree\n")
         _print_poly(reference, "latex")
@@ -285,6 +275,15 @@ def cmd_verify(args) -> int:
 # render
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def _writing(path):
+    """Refuse a path the OS will not write to as bad input."""
+    try:
+        yield
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def cmd_render(args) -> int:
     if sum(x is not None for x in (args.word, args.config, args.batch_dir)) != 1:
         raise PreconditionError("render needs exactly one of --word, a config and --batch-dir")
@@ -304,12 +303,15 @@ def cmd_render(args) -> int:
             raise PreconditionError("--batch-dir needs -n and -d")
         graph = SplitGraph(args.n, args.d)
         directory = Path(args.batch_dir)
-        directory.mkdir(parents=True, exist_ok=True)
+        with _writing(directory):
+            directory.mkdir(parents=True, exist_ok=True)
         written = 0
         for idx, c in enumerate(enumerate_sorted_recurrent(graph), start=1):
             name = format_config(c).replace(",", "_").replace(";", "__")
             doc = svg.render_polyomino(po._from_sorted_recurrent(graph, c), overlays=overlays)
-            (directory / f"rec_{idx:03d}_{name}.svg").write_text(doc, encoding="utf-8")
+            path = directory / f"rec_{idx:03d}_{name}.svg"
+            with _writing(path):
+                path.write_text(doc, encoding="utf-8")
             written += 1
         sys.stderr.write(f"wrote {written} files to {directory}\n")
         return EXIT_OK
@@ -323,7 +325,8 @@ def cmd_render(args) -> int:
         config = parse_config(args.config)
         doc = svg.render_polyomino(po.from_config(graph, config), overlays=overlays)
     if args.out:
-        Path(args.out).write_text(doc, encoding="utf-8")
+        with _writing(args.out):
+            Path(args.out).write_text(doc, encoding="utf-8")
     else:
         sys.stdout.write(doc)
     return EXIT_OK
@@ -358,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("poly", help="q,t-polynomials, five ways")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-d", type=int, required=True)
-    p.add_argument("--method", choices=[*_METHODS, "all"], default="all")
+    p.add_argument("--method", choices=[*qt.METHODS, "all"], default="all")
     p.add_argument("--format", choices=["json", "latex"], default="json")
     p.set_defaults(func=cmd_poly)
 

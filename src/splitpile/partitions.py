@@ -41,10 +41,6 @@ class Partition(Record):
             raise PreconditionError("parts must be weakly decreasing")
         super().__init__(parts)
 
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
     def conjugate(self) -> "Partition":
         if not self.parts:
             return Partition(())

@@ -4,7 +4,8 @@ The generating function of (level, delayed toppling time) over sorted
 recurrent configurations can be computed by brute force for either
 toppling order (f_cti, f_itc), as the (area, bounce) sum over Schroder
 words (qt_schroder), or by two explicit sums over composition pairs
-(egge_sum, itc_sum).  All five agree; the CTI one conjecturally.  The two
+(egge_sum, itc_sum).  All five agree; the CTI one conjecturally.  The
+CLI and the verify suites read them from one table, METHODS.  The two
 explicit sums are one round recursion, _round_sum, with two ways of
 writing its factor, so their agreement checks only the q-multinomial's
 symmetry and EHKK's parametrization; f_itc, f_cti and qt_schroder are
@@ -353,6 +354,12 @@ def itc_sum(n: int, d: int) -> QtPolynomial:
     with the factor [a, b, prev-1].
     """
     return _round_sum(n, d, _multinomial_binomials)
+
+
+#: the methods by their ``poly --method`` names; ``itc`` is the reference,
+#: which the others equal by theorem, or by conjecture if CONJECTURAL
+METHODS = {"cti": f_cti, "itc": f_itc, "schroder": qt_schroder, "egge": egge_sum, "itc-sum": itc_sum}
+CONJECTURAL = frozenset({"cti"})
 
 
 def itc_sum_term(seq: toppling.ItcSequence) -> QtPolynomial:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 import time
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Generator
 
 from . import cycle_lemma as cl
@@ -86,7 +86,7 @@ def _rows(
 
 @lru_cache(maxsize=None)
 def _polynomial(method, n: int, d: int) -> qt.QtPolynomial:
-    """``method(n, d)`` for a polynomial method of :mod:`qtpoly`, computed
+    """``method(n, d)`` for a method of :data:`qtpoly.METHODS`, computed
     once per shape for the checks that compare the same methods; keyed by
     the function object looked up at the call, so a replaced method is
     computed afresh."""
@@ -206,19 +206,17 @@ def check_counts(n: int, d: int) -> dict | None:
 
 
 def check_identity_chain(n: int, d: int) -> dict | None:
-    """Proved equalities: f_itc = qt_schroder = egge_sum = itc_sum."""
-    reference = _polynomial(qt.f_itc, n, d)
-    for name, fn in (
-        ("qt_schroder", qt.qt_schroder),
-        ("egge_sum", qt.egge_sum),
-        ("itc_sum", qt.itc_sum),
-    ):
+    """Proved equalities: every method not conjectural equals ``itc``."""
+    reference = _polynomial(qt.METHODS["itc"], n, d)
+    for name, fn in qt.METHODS.items():
+        if name == "itc" or name in qt.CONJECTURAL:
+            continue
         other = _polynomial(fn, n, d)
         if other != reference:
             return {"method": name, "difference": (other - reference).to_json()}
     if reference.evaluate(1, 1) != sorted_recurrent_count(n, d):
         return {"method": "evaluation_at_1_1"}
-    # qt_schroder(n, d) equals reference here, so its symmetry is checked on it
+    # the schroder method equals reference here, so its symmetry is checked on it
     if not qt.is_qt_symmetric(reference):
         return {"method": "qt_symmetry"}
     return None
@@ -329,17 +327,10 @@ def check_weight_laws(n: int, d: int) -> dict | None:
     return None
 
 
-def check_conjecture_cti_itc(n: int, d: int) -> dict | None:
-    a = _polynomial(qt.f_cti, n, d)
-    b = _polynomial(qt.f_itc, n, d)
-    if a != b:
-        return {"difference": (a - b).to_json()}
-    return None
-
-
-def check_conjecture_cti_schroder(n: int, d: int) -> dict | None:
-    a = _polynomial(qt.f_cti, n, d)
-    b = _polynomial(qt.qt_schroder, n, d)
+def check_conjecture_cti(other: str, n: int, d: int) -> dict | None:
+    """Conjecture: the methods ``cti`` and ``other`` agree."""
+    a = _polynomial(qt.METHODS["cti"], n, d)
+    b = _polynomial(qt.METHODS[other], n, d)
     if a != b:
         return {"difference": (a - b).to_json()}
     return None
@@ -449,11 +440,11 @@ _TABLE = (
     ("cycle-lemma", "operator_laws", check_operator_laws, (4, 4)),
     ("cycle-lemma", "weight_laws", check_weight_laws, (4, 4)),
     ("cycle-lemma", "class_partition", check_cycle_lemma, (4, 3)),
-    ("conjectures", "qt_cti_equals_itc", check_conjecture_cti_itc, None),
-    ("conjectures", "qt_cti_equals_schroder", check_conjecture_cti_schroder, None),
+    ("conjectures", "qt_cti_equals_itc", partial(check_conjecture_cti, "itc"), None),
+    ("conjectures", "qt_cti_equals_schroder", partial(check_conjecture_cti, "schroder"), None),
     # a bijection preserving (height, wtopple) exists iff the two
-    # bistatistic multisets coincide, which is exactly f_cti == f_itc
-    ("conjectures", "bistatistic_bijection_exists", check_conjecture_cti_itc, None),
+    # bistatistic multisets coincide, which is exactly cti == itc
+    ("conjectures", "bistatistic_bijection_exists", partial(check_conjecture_cti, "itc"), None),
     ("appendix", "fiber_intervals", check_fiber_intervals, (4, 3)),
     ("appendix", "sequence_counts", check_sequence_counts, None),
     ("appendix", "hexagon_multinomial", check_hexagon_lemma, {"limit": 4}),

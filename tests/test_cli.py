@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from splitpile import asm, cli
+from splitpile import qtpoly as qt
 from splitpile.asm import (
     InternalError,
     SplitGraph,
@@ -434,12 +435,9 @@ def test_verify_rejects_fewer_than_one_job(capsys, jobs):
 
 def test_poly_mismatch_certificate(capsys, monkeypatch):
     # force a disagreement to exercise the certificate path and exit code
-    from splitpile import cli as cli_mod
     from splitpile.qtpoly import QtPolynomial
 
-    broken = dict(cli_mod._METHODS)
-    broken["egge"] = lambda n, d: QtPolynomial.monomial(99, 99)
-    monkeypatch.setattr(cli_mod, "_METHODS", broken)
+    monkeypatch.setitem(qt.METHODS, "egge", lambda n, d: QtPolynomial.monomial(99, 99))
     code, out, _ = run_cli(capsys, "poly", "-n", "1", "-d", "1", "--method", "all")
     assert code == 4
     certificate = json.loads(out)
@@ -457,15 +455,39 @@ def test_poly_mismatch_exit_code_names_the_conjecture(capsys, monkeypatch, shift
     # conjecture counterexample, one of a proved method is a mismatch
     from splitpile.qtpoly import QtPolynomial
 
-    broken = dict(cli._METHODS)
     for name in shifted:
-        broken[name] = lambda n, d, real=broken[name]: real(n, d) + QtPolynomial.monomial(0, 0)
-    monkeypatch.setattr(cli, "_METHODS", broken)
+        real = qt.METHODS[name]
+        monkeypatch.setitem(
+            qt.METHODS, name, lambda n, d, real=real: real(n, d) + QtPolynomial.monomial(0, 0)
+        )
     code, out, _ = run_cli(capsys, "poly", "-n", "2", "-d", "2", "--method", "all")
     assert code == expected
     certificate = json.loads(out)
     assert certificate["status"] == "mismatch"
     assert sorted(certificate["differences"]) == sorted(shifted)
+
+
+def test_poly_mismatch_names_an_added_method(capsys, monkeypatch):
+    # poly --method all runs every row of the table, not a fixed list
+    from splitpile.qtpoly import QtPolynomial
+
+    monkeypatch.setitem(qt.METHODS, "wrong", lambda n, d: QtPolynomial.monomial(99, 99))
+    code, out, _ = run_cli(capsys, "poly", "-n", "2", "-d", "1", "--method", "all")
+    assert code == 4
+    certificate = json.loads(out)
+    assert certificate["status"] == "mismatch"
+    assert sorted(certificate["differences"]) == ["wrong"]
+
+
+def test_poly_conjectural_methods_come_from_the_table(capsys, monkeypatch):
+    from splitpile.qtpoly import QtPolynomial
+
+    real = qt.METHODS["egge"]
+    monkeypatch.setitem(qt.METHODS, "egge", lambda n, d: real(n, d) + QtPolynomial.one())
+    monkeypatch.setattr(qt, "CONJECTURAL", qt.CONJECTURAL | {"egge"})
+    code, out, _ = run_cli(capsys, "poly", "-n", "2", "-d", "2", "--method", "all")
+    assert code == 10
+    assert sorted(json.loads(out)["differences"]) == ["egge"]
 
 
 def test_verify_conjecture_counterexample_exit_code(capsys, monkeypatch):
@@ -529,11 +551,7 @@ def test_verify_internal_error_outranks_counterexample(capsys, monkeypatch):
 
 
 def test_poly_internal_error_certificate(capsys, monkeypatch):
-    from splitpile import cli as cli_mod
-
-    broken = dict(cli_mod._METHODS)
-    broken["egge"] = _raise_internal
-    monkeypatch.setattr(cli_mod, "_METHODS", broken)
+    monkeypatch.setitem(qt.METHODS, "egge", _raise_internal)
     for method in ("egge", "all"):
         code, out, err = run_cli(capsys, "poly", "-n", "2", "-d", "1", "--method", method)
         assert code == 5
@@ -639,6 +657,25 @@ def test_render_refuses_dropped_options(tmp_path, capsys, inputs, message):
     assert out == ""
     assert err == f"error: {message}\n"
     assert not (tmp_path / "figs").exists() and not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "inputs, target, reason",
+    [
+        (["3,3;2,2", "-n", "2", "-d", "2", "--out"], "missing/x.svg", "No such file or directory"),
+        (["3,3;2,2", "-n", "2", "-d", "2", "--out"], "", "Is a directory"),
+        (["-n", "1", "-d", "1", "--batch-dir"], "file/sub", "Not a directory"),
+    ],
+    ids=["out-in-missing-dir", "out-is-dir", "batch-dir-under-file"],
+)
+def test_render_refuses_unwritable_paths(tmp_path, capsys, inputs, target, reason):
+    # each ended in a traceback and exit 1
+    (tmp_path / "file").write_text("")
+    path = tmp_path / target
+    code, out, err = run_cli(capsys, "render", *inputs, str(path))
+    assert code == 3
+    assert out == ""
+    assert err == f"error: cannot write {path}: {reason}\n"
 
 
 def test_usage_error_exit_code():

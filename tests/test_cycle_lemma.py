@@ -11,6 +11,7 @@ from splitpile.asm import (
     SplitGraph,
     enumerate_sorted_recurrent,
     format_config,
+    height,
     is_recurrent,
     is_stable,
     parse_config,
@@ -38,6 +39,7 @@ from splitpile.cycle_lemma import (
     weight,
     _shift,
 )
+from splitpile.qtpoly import QtPolynomial, f_itc, q_binomial
 
 G22 = SplitGraph(2, 2)
 
@@ -311,3 +313,22 @@ def test_class_members_pinned_order():
     for (n, d, text), members in pinned.items():
         got = class_members(SplitGraph(n, d), parse_config(text))
         assert [format_config(m) for m in got] == members
+
+
+def test_quasistable_heights_are_a_q_cycle_lemma():
+    # sum over QSN(n, d) of q^height = [n+1]_q q^(C(n,2)+nd) f_itc(q, 1/q)
+    # = [2n+d; n]_q [n+d; n]_q; at q = 1 this is the cycle lemma's count.
+    # The mutant [n]_q for [n+1]_q must fail on every shape.
+    shapes = [(n, d) for n in range(1, 7) for d in range(0, 5) if n + d <= 8]
+    assert len(shapes) == 27
+    for n, d in shapes:
+        graph = SplitGraph(n, d)
+        heights = QtPolynomial(Counter((height(c), 0) for c in iter_quasistable_nonneg(graph)))
+        assert heights == q_binomial(2 * n + d, n) * q_binomial(n + d, n), (n, d)
+        shift = n * (n - 1) // 2 + n * d
+        folded = Counter()
+        for (qe, te), c in f_itc(n, d).terms.items():
+            folded[(qe - te + shift, 0)] += c
+        at_inverse_q = QtPolynomial(folded)
+        assert q_binomial(n + 1, 1) * at_inverse_q == heights, (n, d)
+        assert q_binomial(n, 1) * at_inverse_q != heights, (n, d)

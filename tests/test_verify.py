@@ -250,9 +250,9 @@ _CERTIFICATE_CASES = [
      {"only_one_side": ANY}),
     (vf, "sorted_recurrent_count", _plus_one, "recurrent_count", _SHAPE,
      {"enumerated": ANY, "formula": ANY}),
-    (qt, "egge_sum", _plus_one_polynomial, "itc_identity_chain", _SHAPE,
-     {"method": "egge_sum"}),
-    (qt, "f_cti", _plus_one_polynomial, "qt_cti_equals_itc", _SHAPE, {"difference": ANY}),
+    (qt.METHODS, "egge", _plus_one_polynomial, "itc_identity_chain", _SHAPE,
+     {"method": "egge"}),
+    (qt.METHODS, "cti", _plus_one_polynomial, "qt_cti_equals_itc", _SHAPE, {"difference": ANY}),
     (tp, "count_itc", _plus_one, "sequence_counts", _SHAPE, {"k": ANY}),
     (qt, "fiber_words", _first_fiber_word_dropped, "fiber_intervals", _SHAPE,
      {"construction_mismatch": True}),
@@ -271,7 +271,18 @@ _CERTIFICATE_CASES = [
 def test_each_check_reports_its_certificate(monkeypatch, owner, name, fault, check, params, expected):
     task = (check, dict(params))
     assert run_task(task).ok
-    monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
+    if isinstance(owner, dict):
+        monkeypatch.setitem(owner, name, fault(owner[name]))
+    else:
+        monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
     report = run_task(task)
     assert report.status == "fail"
     assert {key: report.counterexample[key] for key in expected} == expected
+
+
+def test_identity_chain_checks_an_added_method(monkeypatch):
+    # the chain walks every proved row of the table, not a fixed list
+    monkeypatch.setitem(qt.METHODS, "wrong", lambda n, d: qt.QtPolynomial.monomial(99, 99))
+    report = run_task(("itc_identity_chain", dict(_SHAPE)))
+    assert report.status == "fail"
+    assert report.counterexample["method"] == "wrong"
